@@ -17,9 +17,9 @@ Expectations encoded as assertions:
 from conftest import run_once
 
 from repro.experiments.config import default_system_params
-from repro.experiments.dynamic import jump_scenario, run_tracking_suite
+from repro.experiments.dynamic import jump_scenario, tracking_sweep_spec
 from repro.experiments.report import format_table
-from repro.runner import ControllerSpec, tracking_results
+from repro.runner import ControllerSpec, run_sweep, tracking_results
 from repro.tp.params import WorkloadParams
 
 
@@ -47,9 +47,9 @@ def test_ablation_controllers_vs_baselines(benchmark, scale, workers, replicates
     scenario = jump_scenario("accesses", 6, 12, jump_time=scale.tracking_horizon / 2.0)
 
     def experiment():
-        sweep_result = run_tracking_suite(
-            _policies(), scenario, base_params=params, scale=scale,
-            workers=workers, replicates=replicates, name="ablation_baselines")
+        spec = tracking_sweep_spec(_policies(), scenario, base_params=params,
+                                   scale=scale, name="ablation_baselines")
+        sweep_result = run_sweep(spec, workers=workers, replicates=replicates)
         return {
             name: {
                 "commits": result.total_commits,

@@ -9,6 +9,12 @@ object carrying the same data series the corresponding figure shows:
 * :func:`repro.experiments.dynamic.run_tracking_experiment` -- the
   trajectory of the load threshold under jump-like or sinusoidal workload
   changes (Figures 13 and 14 and the sinusoidal study);
+* :func:`repro.experiments.stationary.run_stationary_point` and
+  :func:`~repro.experiments.dynamic.run_tracking_experiment` are thin
+  adapters over the runner's single cell pipeline
+  (:func:`repro.runner.cells.run_cell`), so every cell feature -- mixed
+  classes, arrival models, probes, scheme and isolation diagnostics,
+  displacement -- works on stationary and tracking cells alike;
 * :mod:`repro.experiments.tracking` -- tracking-error metrics used to
   compare IS and PA quantitatively;
 * :mod:`repro.experiments.report` -- plain-text tables for printing the
@@ -28,7 +34,6 @@ from repro.experiments.dynamic import (
     jump_scenario,
     run_synthetic_tracking,
     run_tracking_experiment,
-    run_tracking_suite,
     sinusoid_scenario,
     tracking_sweep_spec,
 )
@@ -59,7 +64,6 @@ __all__ = [
     "sweep_offered_load",
     "TrackingResult",
     "run_tracking_experiment",
-    "run_tracking_suite",
     "tracking_sweep_spec",
     "run_synthetic_tracking",
     "jump_scenario",

@@ -10,7 +10,8 @@ Two plants are supported:
 
 * the full discrete-event transaction system
   (:func:`run_tracking_experiment`), where the reference optimum is computed
-  from the analytic OCC model for the workload parameters in effect at each
+  from the scheme-aware analytic model (Tay's for locking schemes, the OCC
+  fixed point otherwise) for the workload parameters in effect at each
   sampling instant;
 * the synthetic overload function (:func:`run_synthetic_tracking`), the
   direct realization of the paper's "dynamic optimum search" abstraction,
@@ -25,20 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analytic.occ import OccModel
+from repro.analytic.references import reference_optimum
 from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem
-from repro.cc.registry import resolve_cc
 from repro.core.controller import LoadController
 from repro.core.displacement import DisplacementPolicy
 from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.types import ControlTrace
 from repro.experiments.config import ExperimentScale, default_system_params
-from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
-from repro.tp.params import SystemParams
-from repro.tp.system import TransactionSystem
+from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.workload import (
     ConstantSchedule,
     JumpSchedule,
@@ -105,24 +103,34 @@ def _validate_parameter(parameter: str) -> None:
         )
 
 
-def _build_workload(params: SystemParams, streams, parameter: str,
-                    schedule: ParameterSchedule) -> Workload:
-    kwargs = {"accesses": None, "query_fraction": None, "write_fraction": None}
-    if parameter == "accesses":
-        kwargs["accesses"] = schedule
-    elif parameter == "query_fraction":
-        kwargs["query_fraction"] = schedule
-    else:
-        kwargs["write_fraction"] = schedule
-    return Workload.with_schedules(params.workload, streams, **kwargs)
+def _reference_optimum(params: SystemParams, current: WorkloadParams,
+                       cc: Optional[object] = None) -> Tuple[float, float]:
+    """Scheme-aware analytic optimum (position, peak) for workload ``current``."""
+    # the model sees the current workload both in its system parameters
+    # (OccModel.optimal_mpl reads params.saturation_mpl()) and explicitly
+    _name, optimum, peak = reference_optimum(
+        params.with_changes(workload=current), cc, workload=current)
+    return optimum, peak
 
 
-def _reference_optimum(params: SystemParams, workload: Workload, time: float) -> Tuple[float, float]:
-    """True optimum (position, peak) from the analytic model at ``time``."""
-    current = workload.params_at(time)
-    model = OccModel(params.with_changes(workload=current), current)
-    optimum = model.optimal_mpl()
-    return optimum, model.throughput(optimum)
+def reference_trajectory(params: SystemParams, workload: Workload,
+                         times: Sequence[float], cc: Optional[object] = None
+                         ) -> Tuple[List[float], List[float]]:
+    """Reference optimum positions and peaks at each sampling instant.
+
+    The analytic model is solved once per distinct workload parameter set
+    (every sample of a jump's plateau shares one solution); ``cc`` selects
+    the scheme-aware reference model (see
+    :mod:`repro.analytic.references`).
+    """
+    cache: Dict[WorkloadParams, Tuple[float, float]] = {}
+    solved = []
+    for sample_time in times:
+        current = workload.params_at(sample_time)
+        if current not in cache:
+            cache[current] = _reference_optimum(params, current, cc)
+        solved.append(cache[current])
+    return [optimum for optimum, _ in solved], [peak for _, peak in solved]
 
 
 # ----------------------------------------------------------------------
@@ -133,77 +141,37 @@ def run_tracking_experiment(controller: LoadController,
                             base_params: Optional[SystemParams] = None,
                             scale: Optional[ExperimentScale] = None,
                             displacement: Optional[DisplacementPolicy] = None,
-                            reference_resolution: int = 20,
                             interval_tuner: Optional[MeasurementIntervalTuner] = None,
                             streams: Optional[RandomStreams] = None,
                             cc: Optional[object] = None) -> TrackingResult:
     """Run the full simulation with a time-varying workload and a controller.
 
-    ``reference_resolution`` limits how many times the (comparatively
-    expensive) analytic reference optimum is recomputed; between those
-    instants the reference is held constant, which is exact for jump
-    scenarios and a fine approximation for slow sinusoids.
-    ``interval_tuner`` enables the outer control loop of Section 5;
-    ``streams`` overrides the run's random streams (the runner passes a
-    replicate-derived family here); ``cc`` selects the concurrency control
-    scheme (``None`` = timestamp certification, or a
-    :class:`~repro.cc.registry.CCSpec` / factory ``sim -> scheme``) — the
-    analytic reference optimum is always the OCC model's, so trajectories
-    of different schemes are compared against one common yardstick.
+    A thin adapter over the runner's cell pipeline
+    (:func:`repro.runner.cells.run_cell`): the given ``controller``,
+    ``displacement`` policy and ``interval_tuner`` (the outer control loop
+    of Section 5) are the very objects the run drives, so their state can
+    be inspected afterwards.  ``streams`` overrides the run's random
+    streams; ``cc`` selects the concurrency control scheme (``None`` =
+    timestamp certification, or a :class:`~repro.cc.registry.CCSpec` /
+    factory ``sim -> scheme``), and the reference optimum is the
+    scheme-aware analytic model's (Tay's for locking schemes, OCC's
+    otherwise).
     """
-    scale = scale or ExperimentScale.benchmark()
-    base_params = base_params or default_system_params()
-    parameter, schedule = scenario
+    from repro.runner.cells import run_cell
+    from repro.runner.specs import KIND_TRACKING, RunSpec
 
-    streams = streams or RandomStreams(base_params.seed)
-    workload_for_reference = _build_workload(base_params, RandomStreams(base_params.seed), parameter, schedule)
-
-    sim = Simulator()
-    system = TransactionSystem(
-        base_params,
-        sim=sim,
-        streams=streams,
-        workload=_build_workload(base_params, streams, parameter, schedule),
-        cc=resolve_cc(cc, sim),
+    spec = RunSpec(
+        kind=KIND_TRACKING,
+        cell_id="tracking",
+        params=base_params or default_system_params(),
+        scale=scale or ExperimentScale.benchmark(),
+        controller=lambda _params: controller,
+        scenario=scenario,
         displacement=displacement,
-    )
-    measurement = system.attach_controller(
-        controller,
-        interval=scale.measurement_interval,
-        warmup=0.0,
         interval_tuner=interval_tuner,
+        cc=cc,
     )
-    system.run(until=scale.tracking_horizon)
-
-    # reference optimum, recomputed at a limited number of instants
-    reference_times = measurement.trace.times
-    reference_optima: List[float] = []
-    reference_peaks: List[float] = []
-    cache: Dict[Tuple, Tuple[float, float]] = {}
-    for sample_time in reference_times:
-        current = workload_for_reference.params_at(sample_time)
-        key = (current.accesses_per_txn, round(current.query_fraction, 6),
-               round(current.write_fraction, 6))
-        if key not in cache:
-            if len(cache) < reference_resolution:
-                cache[key] = _reference_optimum(base_params, workload_for_reference, sample_time)
-            else:
-                # fall back to the nearest already computed reference
-                cache[key] = next(iter(cache.values()))
-        optimum, peak = cache[key]
-        reference_optima.append(optimum)
-        reference_peaks.append(peak)
-
-    return TrackingResult(
-        controller=controller.name,
-        varied_parameter=parameter,
-        trace=measurement.trace,
-        reference_optima=reference_optima,
-        reference_peaks=reference_peaks,
-        total_commits=system.metrics.commits,
-        mean_response_time=system.metrics.mean_response_time(),
-        restart_ratio=system.metrics.restart_ratio,
-    )
+    return run_cell(spec, streams=streams, copy_policies=False).payload
 
 
 # ----------------------------------------------------------------------
@@ -214,15 +182,15 @@ def tracking_sweep_spec(controllers: Mapping[str, object],
                         base_params: Optional[SystemParams] = None,
                         scale: Optional[ExperimentScale] = None,
                         name: str = "tracking",
-                        displacement: Optional[DisplacementPolicy] = None,
-                        interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                        cc: Optional[object] = None):
+                        **options):
     """Build a runner sweep with one tracking cell per named controller.
 
     Each value of ``controllers`` may be a
     :class:`~repro.runner.specs.ControllerSpec` or a picklable factory
-    ``params -> LoadController``.  ``displacement`` and ``cc`` apply to
-    every cell of the sweep.
+    ``params -> LoadController``.  ``options`` are
+    :class:`~repro.runner.specs.RunSpec` fields (``displacement``, ``cc``,
+    ``probes``, ...) applied to every cell of the sweep; run the sweep with
+    :func:`repro.runner.run_sweep`.
     """
     from repro.runner.specs import KIND_TRACKING, RunSpec, SweepSpec
 
@@ -237,39 +205,11 @@ def tracking_sweep_spec(controllers: Mapping[str, object],
             controller=controller,
             scenario=scenario,
             label=label,
-            displacement=displacement,
-            interval_tuner=interval_tuner,
-            cc=cc,
+            **options,
         )
         for label, controller in controllers.items()
     )
     return SweepSpec(name=name, cells=cells)
-
-
-def run_tracking_suite(controllers: Mapping[str, object],
-                       scenario: Tuple[str, ParameterSchedule],
-                       base_params: Optional[SystemParams] = None,
-                       scale: Optional[ExperimentScale] = None,
-                       workers: int = 0,
-                       replicates: int = 1,
-                       name: str = "tracking",
-                       displacement: Optional[DisplacementPolicy] = None,
-                       interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                       cc: Optional[object] = None):
-    """Run one tracking cell per controller through the runner.
-
-    ``displacement``, ``interval_tuner`` and ``cc`` apply to every cell of
-    the suite.  Returns the :class:`~repro.runner.api.SweepResult`; use
-    :func:`repro.runner.tracking_results` for the per-controller
-    trajectories and :attr:`~repro.runner.api.SweepResult.aggregates` for
-    replicate mean ± CI summaries.
-    """
-    from repro.runner.api import run_sweep
-
-    spec = tracking_sweep_spec(controllers, scenario, base_params=base_params,
-                               scale=scale, name=name, displacement=displacement,
-                               interval_tuner=interval_tuner, cc=cc)
-    return run_sweep(spec, workers=workers, replicates=replicates)
 
 
 # ----------------------------------------------------------------------

@@ -21,20 +21,12 @@ confidence interval — without changing the single-replicate results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cc.registry import resolve_cc
 from repro.core.controller import LoadController
-from repro.core.measurement import MeasurementProcess
 from repro.experiments.config import ExperimentScale, default_system_params
-from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.tp.params import SystemParams
-from repro.tp.system import TransactionSystem
-from repro.tp.workload import MixedClassWorkload, TransactionClassSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.tp.arrivals import ArrivalProcess
 
 #: a factory producing a fresh controller for each run (controllers keep state)
 ControllerFactory = Callable[[SystemParams], LoadController]
@@ -129,145 +121,35 @@ def run_stationary_point(params: SystemParams,
                          warmup: float = 5.0,
                          measurement_interval: float = 2.0,
                          streams: Optional[RandomStreams] = None,
-                         workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
-                         cc: Optional[object] = None,
-                         isolation_diagnostics: bool = False,
-                         probes: Optional[Sequence[str]] = None,
-                         arrivals: Optional["ArrivalProcess"] = None
-                         ) -> StationaryPoint:
+                         **options) -> StationaryPoint:
     """Run one stationary simulation and summarise it.
 
-    With ``controller_factory=None`` the system runs uncontrolled (every
-    transaction admitted immediately); otherwise the factory's controller is
-    attached with the given measurement interval.  ``streams`` overrides the
-    run's random streams (the runner passes a replicate-derived family here;
-    by default the streams are seeded from ``params.seed``).
-    ``workload_classes`` switches the run onto a
-    :class:`~repro.tp.workload.MixedClassWorkload` with the given class mix
-    instead of the single-class workload of ``params.workload``.
-    ``cc`` selects the concurrency control scheme — ``None`` (the default
-    timestamp certification), a :class:`~repro.cc.registry.CCSpec`, or a
-    factory ``sim -> ConcurrencyControl``; the scheme is built fresh for
-    this run, bound to the run's simulator.
-    ``isolation_diagnostics=True`` additionally records the committed
-    history through the isolation oracle's trajectory-preserving wrapper
-    (:class:`~repro.cc.history.RecordingConcurrencyControl`) and fills
-    :attr:`StationaryPoint.anomalies` with the per-kind counts of
-    :func:`~repro.cc.history.classify_anomalies`.
-    ``probes`` names in-sim probes (:data:`~repro.obs.probes.PROBE_NAMES`)
-    to attach to the run; their measured-window readouts fill
-    :attr:`StationaryPoint.probe_metrics` as ``probe_<name>`` keys.  The
-    probe set is trajectory-preserving: all other fields of the returned
-    point are unchanged by probing.
-    ``arrivals`` selects the arrival model (see :mod:`repro.tp.arrivals`):
-    ``None``/closed keeps the paper's terminal processes; an open or
-    partly-open process replaces them with an arrival source.  When the
-    ``workload_classes`` carry tenant quotas and the run is open, the gate
-    enforces them and the returned point's SLO fields
-    (:attr:`StationaryPoint.p95_response_time`, ``p99_…``, ``shed`` and the
-    per-tenant :attr:`StationaryPoint.tenant_metrics`) describe the outcome.
+    A thin adapter over the runner's cell pipeline
+    (:func:`repro.runner.cells.run_cell`).  With
+    ``controller_factory=None`` the system runs uncontrolled; otherwise the
+    factory's controller is attached with the given measurement interval.
+    ``streams`` overrides the run's random streams (seeded from
+    ``params.seed`` by default).  ``options`` are
+    :class:`~repro.runner.specs.RunSpec` fields — ``workload_classes``,
+    ``cc``, ``isolation_diagnostics`` (fills :attr:`StationaryPoint.anomalies`),
+    ``probes`` (fills :attr:`StationaryPoint.probe_metrics` without moving
+    any other field) and ``arrivals`` (an open run over quota-carrying
+    classes enforces the quotas; the SLO fields describe the outcome).
     """
+    from repro.runner.cells import run_cell
+    from repro.runner.specs import KIND_STATIONARY, RunSpec
+
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
-    streams = streams or RandomStreams(params.seed)
-    workload = None
-    if workload_classes is not None:
-        workload = MixedClassWorkload(params.workload, streams, workload_classes)
-    sim = Simulator()
-    gate = None
-    if arrivals is not None and workload_classes is not None:
-        from repro.core.admission import AdmissionGate
-
-        quotas = {cls.name: cls.admission_quota for cls in workload_classes
-                  if cls.admission_quota is not None}
-        queue_quotas = {cls.name: cls.queue_quota for cls in workload_classes
-                        if cls.queue_quota is not None}
-        if quotas or queue_quotas:
-            gate = AdmissionGate(sim, tenant_quotas=quotas or None,
-                                 tenant_queue_quotas=queue_quotas or None)
-    scheme = resolve_cc(cc, sim)
-    recorder = None
-    if isolation_diagnostics:
-        from repro.cc.history import HistoryRecorder, RecordingConcurrencyControl
-        from repro.cc.timestamp_cert import TimestampCertification
-
-        recorder = HistoryRecorder()
-        scheme = RecordingConcurrencyControl(
-            scheme if scheme is not None else TimestampCertification(sim),
-            recorder)
-    probe_set = None
-    if probes is not None:
-        from repro.obs.probes import ProbeSet
-
-        probe_set = ProbeSet(probes, interval=measurement_interval)
-    system = TransactionSystem(params, sim=sim, streams=streams, workload=workload,
-                               cc=scheme, gate=gate, probes=probe_set,
-                               arrivals=arrivals)
-    measurement: Optional[MeasurementProcess] = None
-    if controller_factory is not None:
-        controller = controller_factory(params)
-        measurement = system.attach_controller(
-            controller, interval=measurement_interval, warmup=min(warmup, 1.0)
-        )
-    system.start()
-    system.run(until=warmup)
-    # discard the warm-up transient; the resets bind the measured windows of
-    # the rate metrics (metrics.measured_from, the resource integrals) to now
-    system.metrics.reset()
-    system.cpus.reset_statistics()
-    system.gate.reset_statistics()
-    if probe_set is not None:
-        probe_set.reset(system.sim.now)
-    system.run(until=warmup + horizon)
-
-    anomalies: Dict[str, int] = {}
-    if recorder is not None:
-        from repro.cc.history import anomaly_counts
-
-        anomalies = anomaly_counts(recorder.committed)
-
-    metrics = system.metrics
-    tenant_metrics: Dict[str, float] = {}
-    if arrivals is not None and workload_classes is not None:
-        # the key set is enumerated from the spec's class names (never from
-        # the tenants that happened to commit), so the metric schema is a
-        # pure function of the cell spec
-        for cls in workload_classes:
-            name = cls.name
-            tenant_metrics[f"tenant_commits_{name}"] = float(
-                metrics.commits_by_tenant.get(name, 0))
-            tenant_metrics[f"tenant_shed_{name}"] = float(
-                metrics.shed_by_tenant.get(name, 0))
-            p95 = metrics.tenant_response_p95.get(name)
-            p99 = metrics.tenant_response_p99.get(name)
-            p95_value = p95.value if p95 is not None else 0.0
-            p99_value = p99.value if p99 is not None else 0.0
-            tenant_metrics[f"tenant_p95_response_time_{name}"] = p95_value
-            # independent P² estimates can cross slightly under heavy
-            # tails; report a monotone pair (same clamp as RunMetrics)
-            tenant_metrics[f"tenant_p99_response_time_{name}"] = max(
-                p99_value, p95_value)
-    return StationaryPoint(
-        offered_load=params.n_terminals,
-        throughput=metrics.throughput(),
-        mean_response_time=metrics.mean_response_time(),
-        mean_concurrency=system.gate.mean_load(),
-        restart_ratio=metrics.restart_ratio,
-        cpu_utilisation=system.cpus.utilisation(),
-        final_limit=system.gate.limit,
-        commits=metrics.commits,
-        aborts_by_reason={reason.value: count for reason, count
-                          in metrics.aborts_by_reason.items()},
-        anomalies=anomalies,
-        probe_metrics=(probe_set.metrics(system.sim.now)
-                       if probe_set is not None else {}),
-        p95_response_time=metrics.p95_response_time,
-        p99_response_time=metrics.p99_response_time,
-        shed=metrics.shed,
-        tenant_metrics=tenant_metrics,
-    )
+    scale = ExperimentScale(stationary_horizon=horizon, warmup=warmup,
+                            offered_loads=(params.n_terminals,), tracking_horizon=0.0,
+                            measurement_interval=measurement_interval,
+                            synthetic_steps=0)
+    spec = RunSpec(kind=KIND_STATIONARY, cell_id="stationary", params=params,
+                   scale=scale, controller=controller_factory, **options)
+    return run_cell(spec, streams=streams).payload
 
 
 def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
@@ -275,37 +157,20 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
                           scale: Optional[ExperimentScale] = None,
                           label: Optional[str] = None,
                           name: str = "stationary",
-                          workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
-                          cc: Optional[object] = None,
-                          scheme_diagnostics: bool = False,
-                          isolation_diagnostics: bool = False,
-                          probes: Optional[Sequence[str]] = None,
-                          arrivals: Optional[object] = None):
+                          arrivals: Optional[object] = None,
+                          **options):
     """Build the runner :class:`~repro.runner.specs.SweepSpec` of one curve.
 
     ``controller`` may be ``None`` (uncontrolled), a
     :class:`~repro.runner.specs.ControllerSpec`, or a picklable factory
-    ``params -> LoadController``.  ``workload_classes`` puts every cell on
-    a mixed-class workload (see :func:`run_stationary_point`); ``cc`` puts
-    every cell on the named concurrency control scheme (``None`` = the
-    default timestamp certification, or a
-    :class:`~repro.cc.registry.CCSpec` / factory).
-    ``scheme_diagnostics=True`` makes every cell additionally report its
-    per-reason abort counts (``aborts_<reason>`` metrics) and the name of
-    its scheme-aware analytic reference — see
-    :attr:`~repro.runner.specs.RunSpec.scheme_diagnostics`.
-    ``isolation_diagnostics=True`` records every cell's committed history
-    through the isolation oracle and reports per-kind anomaly counts
-    (``anomalies_<kind>`` metrics) — see
-    :attr:`~repro.runner.specs.RunSpec.isolation_diagnostics`.
-    ``probes`` attaches the named in-sim probes to every cell
-    (``probe_<name>`` metrics) — see
-    :attr:`~repro.runner.specs.RunSpec.probes`.
-    ``arrivals`` selects the arrival model — an
-    :class:`~repro.tp.arrivals.ArrivalProcess` shared by every cell, or a
+    ``params -> LoadController``.  ``arrivals`` selects the arrival model —
+    an :class:`~repro.tp.arrivals.ArrivalProcess` shared by every cell, or a
     callable ``offered_load -> ArrivalProcess`` so open sweeps can scale
     the arrival rate along the offered-load axis the way closed sweeps
-    scale the terminal count.
+    scale the terminal count.  ``options`` are further
+    :class:`~repro.runner.specs.RunSpec` fields applied to every cell
+    (``workload_classes``, ``cc``, ``scheme_diagnostics``,
+    ``isolation_diagnostics``, ``probes``, ...).
     """
     from repro.runner.specs import KIND_STATIONARY, RunSpec, SweepSpec
     from repro.tp.arrivals import ArrivalProcess
@@ -319,7 +184,6 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
     base_params = base_params or default_system_params()
     if label is None:
         label = "without control" if controller is None else "with control"
-    classes = tuple(workload_classes) if workload_classes is not None else None
     cells = tuple(
         RunSpec(
             kind=KIND_STATIONARY,
@@ -328,12 +192,8 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
             scale=scale,
             controller=controller,
             label=label,
-            workload_classes=classes,
-            cc=cc,
-            scheme_diagnostics=scheme_diagnostics,
-            isolation_diagnostics=isolation_diagnostics,
-            probes=tuple(probes) if probes is not None else None,
             arrivals=arrivals_for(int(offered_load)),
+            **options,
         )
         for offered_load in scale.offered_loads
     )

@@ -188,22 +188,42 @@ def emit(span: str, **fields: object) -> None:
     sink.write(record)
 
 
+class _CurrentStderrHandler(logging.StreamHandler):
+    """A stream handler writing to whatever ``sys.stderr`` is at emit time.
+
+    A stream bound at configuration time may since have been closed (an
+    in-process test's captured stderr); every later record — from a
+    coordinator thread, say — would then fail with "I/O operation on
+    closed file".
+    """
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value) -> None:
+        pass
+
+
 def configure_cli_logging(verbose: bool = False, quiet: bool = False) -> None:
-    """Configure stdlib logging for a ``repro-*`` CLI process.
+    """Configure the ``repro`` logger for a ``repro-*`` CLI process.
 
     Diagnostics go to **stderr** (result tables stay on stdout): WARNING
     and up with ``quiet``, DEBUG and up with ``verbose``, INFO otherwise.
-    ``force=True`` so the last CLI to configure wins, which keeps tests
-    that invoke several ``main()`` functions in one process predictable.
+    Only the package's own logger is touched, never the root logger, and
+    repeated calls (several in-process ``main()`` invocations) reuse one
+    handler, so the last call's level wins and nothing is logged twice.
     """
     level = logging.INFO
     if quiet:
         level = logging.WARNING
     if verbose:
         level = logging.DEBUG
-    logging.basicConfig(
-        level=level,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    logger = logging.getLogger("repro")
+    logger.setLevel(level)
+    if not any(isinstance(handler, _CurrentStderrHandler)
+               for handler in logger.handlers):
+        handler = _CurrentStderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)

@@ -167,8 +167,17 @@ def stationary_sweeps(result: SweepResult,
 
 
 def _mean_stationary_point(point_type, spec: RunSpec, aggregate: CellAggregate):
-    """A synthetic point carrying the replicate means of every metric."""
+    """A synthetic point carrying the replicate means of every metric group
+    (groups the cell did not report keep the point's zero defaults)."""
     mean = {name: summary.mean for name, summary in aggregate.metrics.items()}
+
+    def group(prefix: str) -> Dict[str, float]:
+        return {name: value for name, value in mean.items() if name.startswith(prefix)}
+
+    def counts(prefix: str) -> Dict[str, int]:
+        return {name[len(prefix):]: int(round(value))
+                for name, value in group(prefix).items()}
+
     return point_type(
         offered_load=spec.params.n_terminals,
         throughput=mean["throughput"],
@@ -178,17 +187,13 @@ def _mean_stationary_point(point_type, spec: RunSpec, aggregate: CellAggregate):
         cpu_utilisation=mean["cpu_utilisation"],
         final_limit=mean["final_limit"],
         commits=int(round(mean["commits"])),
-        # diagnostics cells report aborts_<reason> / anomalies_<kind>
-        # metrics; fold their replicate means back so replicated sweeps
-        # keep per-reason and per-anomaly data
-        aborts_by_reason={name[len("aborts_"):]: int(round(value))
-                          for name, value in mean.items()
-                          if name.startswith("aborts_")},
-        anomalies={name[len("anomalies_"):]: int(round(value))
-                   for name, value in mean.items()
-                   if name.startswith("anomalies_")},
-        probe_metrics={name: value for name, value in mean.items()
-                       if name.startswith("probe_")},
+        aborts_by_reason=counts("aborts_"),
+        anomalies=counts("anomalies_"),
+        probe_metrics=group("probe_"),
+        p95_response_time=mean.get("p95_response_time", 0.0),
+        p99_response_time=mean.get("p99_response_time", 0.0),
+        shed=int(round(mean.get("shed", 0.0))),
+        tenant_metrics=group("tenant_"),
     )
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.obs import telemetry
@@ -79,11 +80,13 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan cells out over a pool of worker processes.
 
-    Results are streamed back in submission order (``imap``), so consumers
-    see the same deterministic ordering the serial executor produces while
-    later cells are still running.  ``function`` and every item must be
-    picklable; each cell is dispatched individually (``chunksize=1``)
-    because cells are long-running simulations whose durations vary widely.
+    Results are streamed back in submission order, so consumers see the
+    same deterministic ordering the serial executor produces while later
+    cells are still running.  ``function`` and every item must be
+    picklable.  When the consumer stops early (a failed cell, an abandoned
+    iterator), queued cells are cancelled and the workers exit gracefully:
+    ``multiprocessing.Pool.terminate`` could kill a worker holding the
+    result queue's lock and hang the shutdown.
 
     Failures inside a worker process are re-raised as
     :class:`~repro.runner.errors.CellExecutionError` naming the failing
@@ -110,10 +113,13 @@ class ParallelExecutor:
         def stream() -> Iterator[ResultT]:
             if not materialised:
                 return
-            context = multiprocessing.get_context(self._mp_context)
-            with context.Pool(processes=min(self.workers, len(materialised))) as pool:
-                yield from pool.imap(CellErrorContext(function), materialised,
-                                     chunksize=1)
+            pool = ProcessPoolExecutor(min(self.workers, len(materialised)),
+                                       multiprocessing.get_context(self._mp_context))
+            try:
+                futures = [pool.submit(CellErrorContext(function), item) for item in materialised]
+                yield from (future.result() for future in futures)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
 
         return stream()
 

@@ -109,19 +109,16 @@ def _tracking_pa() -> ControllerSpec:
 
 
 def _stationary_cells(name: str, scale: ExperimentScale, base_params: SystemParams,
-                      variants, workload_classes=None, cc=None,
-                      scheme_diagnostics: bool = False,
-                      isolation_diagnostics: bool = False,
-                      probes=None, arrivals=None) -> SweepSpec:
-    """One stationary cell per (controller variant, offered load)."""
+                      variants, **options) -> SweepSpec:
+    """One stationary cell per (controller variant, offered load).
+
+    ``options`` pass through :func:`stationary_sweep_spec` to every cell.
+    """
     cells = []
     for label, controller in variants:
         cells.extend(
             stationary_sweep_spec(base_params, controller, scale, label, name=name,
-                                  workload_classes=workload_classes, cc=cc,
-                                  scheme_diagnostics=scheme_diagnostics,
-                                  isolation_diagnostics=isolation_diagnostics,
-                                  probes=probes, arrivals=arrivals).cells
+                                  **options).cells
         )
     return SweepSpec(name=name, cells=tuple(cells))
 

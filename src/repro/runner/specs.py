@@ -202,47 +202,42 @@ class RunSpec:
     params: SystemParams
     scale: ExperimentScale
     controller: Optional[object] = None
-    #: tracking runs only: (parameter name, schedule) as produced by
-    #: :func:`repro.experiments.dynamic.jump_scenario` and friends
+    #: (parameter name, schedule) as produced by
+    #: :func:`repro.experiments.dynamic.jump_scenario` and friends; required
+    #: by tracking runs, and cannot be combined with ``workload_classes``
     scenario: Optional[Tuple[str, ParameterSchedule]] = None
     replicate: int = 0
     #: label used to group cells into curves/series in reports
     label: str = ""
     displacement: Optional[DisplacementPolicy] = None
     interval_tuner: Optional[MeasurementIntervalTuner] = None
-    #: stationary runs only: transaction classes of a mixed-class workload
+    #: transaction classes of a mixed-class workload
     #: (None = the single-class workload described by ``params.workload``)
     workload_classes: Optional[Tuple[TransactionClassSpec, ...]] = None
     #: concurrency control scheme (None = the system default, timestamp
     #: certification); a CCSpec or a picklable ``factory(sim) -> scheme``
     cc: Optional[object] = None
-    #: stationary runs only: report per-reason abort counts
-    #: (``aborts_<reason>`` metrics) and the scheme-aware analytic
-    #: reference name on the cell result.  Opt-in so the metrics schema —
-    #: and therefore every pre-existing golden fixture — of cells that do
-    #: not ask for it stays byte-identical.
+    # The opt-in fields below each switch on one metric group of the cell
+    # result (see repro.runner.cells.METRIC_GROUPS); they default off so
+    # the metric schema — and every golden fixture — of cells that do not
+    # ask for them stays byte-identical.
+    #: report per-reason abort counts (``aborts_<reason>`` metrics) and the
+    #: scheme-aware analytic reference name on the cell result
     scheme_diagnostics: bool = False
-    #: stationary runs only: record the committed history through the
+    #: record the committed history through the trajectory-preserving
     #: isolation oracle (:mod:`repro.cc.history`) and report per-kind
-    #: anomaly counts (``anomalies_<kind>`` metrics).  The recording
-    #: wrapper is trajectory-preserving, but the flag is opt-in for the
-    #: same golden-stability reason as ``scheme_diagnostics``.
+    #: anomaly counts (``anomalies_<kind>`` metrics)
     isolation_diagnostics: bool = False
-    #: stationary runs only: in-sim probe names
-    #: (:data:`~repro.obs.probes.PROBE_NAMES`) to attach to the run; their
-    #: measured-window readouts surface as ``probe_<name>`` metrics on the
-    #: cell result.  ``None`` (the default) runs without probes; opt-in for
-    #: the same golden-stability reason as the diagnostics flags.  The
-    #: probe set itself is built inside the worker from these plain names,
-    #: which is how probes propagate to multiprocessing and dist workers.
+    #: in-sim probe names (:data:`~repro.obs.probes.PROBE_NAMES`) whose
+    #: measured-window readouts surface as ``probe_<name>`` metrics.  The
+    #: probe set is built inside the worker from these plain names, which is
+    #: how probes propagate to multiprocessing and dist workers.
     probes: Optional[Tuple[str, ...]] = None
-    #: stationary runs only: how transactions enter the system.  ``None``
-    #: (the default) and :class:`~repro.tp.arrivals.ClosedArrivals` run the
-    #: paper's closed terminal model; :class:`~repro.tp.arrivals.OpenArrivals`
-    #: / :class:`~repro.tp.arrivals.PartlyOpenArrivals` replace the terminals
-    #: with an open source.  Opt-in (and JSON-emitted only when set) for the
-    #: same golden-stability reason as the diagnostics flags: cells that do
-    #: not ask for an arrival model keep their byte-identical schema.
+    #: how transactions enter the system: ``None`` and
+    #: :class:`~repro.tp.arrivals.ClosedArrivals` run the paper's closed
+    #: terminal model; :class:`~repro.tp.arrivals.OpenArrivals` /
+    #: :class:`~repro.tp.arrivals.PartlyOpenArrivals` replace the terminals
+    #: with an open source and add the SLO metrics (JSON-emitted only when set)
     arrivals: Optional[ArrivalProcess] = None
 
     def __post_init__(self) -> None:
@@ -256,34 +251,21 @@ class RunSpec:
             raise ValueError("tracking runs require a scenario")
         if self.kind == KIND_TRACKING and self.controller is None:
             raise ValueError("tracking runs require a controller")
-        if self.workload_classes is not None and self.kind != KIND_STATIONARY:
+        if self.scenario is not None and self.workload_classes is not None:
             raise ValueError(
-                "mixed-class workloads are supported for stationary runs only"
+                "a scenario schedule and mixed workload classes cannot be combined"
             )
-        if self.scheme_diagnostics and self.kind != KIND_STATIONARY:
-            raise ValueError(
-                "scheme_diagnostics is supported for stationary runs only"
-            )
-        if self.isolation_diagnostics and self.kind != KIND_STATIONARY:
-            raise ValueError(
-                "isolation_diagnostics is supported for stationary runs only"
-            )
+        if self.workload_classes is not None:
+            object.__setattr__(self, "workload_classes", tuple(self.workload_classes))
         if self.probes is not None:
-            if self.kind != KIND_STATIONARY:
-                raise ValueError("probes are supported for stationary runs only")
             from repro.obs.probes import validate_probes
 
             object.__setattr__(self, "probes", validate_probes(self.probes))
-        if self.arrivals is not None:
-            if self.kind != KIND_STATIONARY:
-                raise ValueError(
-                    "arrival models are supported for stationary runs only"
-                )
-            if not isinstance(self.arrivals, ArrivalProcess):
-                raise TypeError(
-                    "arrivals must be None or an ArrivalProcess, "
-                    f"got {type(self.arrivals).__name__}"
-                )
+        if self.arrivals is not None and not isinstance(self.arrivals, ArrivalProcess):
+            raise TypeError(
+                "arrivals must be None or an ArrivalProcess, "
+                f"got {type(self.arrivals).__name__}"
+            )
         if self.cc is not None and not isinstance(self.cc, CCSpec) \
                 and not callable(self.cc):
             raise TypeError(
@@ -292,7 +274,7 @@ class RunSpec:
             )
 
     def controller_factory(self) -> Optional[Callable[[SystemParams], LoadController]]:
-        """The factory the single-cell experiment functions expect."""
+        """The factory building this cell's controller (None if uncontrolled)."""
         if self.controller is None:
             return None
         if isinstance(self.controller, ControllerSpec):

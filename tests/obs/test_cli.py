@@ -1,6 +1,10 @@
 """The ``repro-obs`` CLI: summarising a telemetry JSONL file."""
 
+import io
 import json
+import logging
+import sys
+import threading
 
 from repro.obs import cli
 from repro.obs.telemetry import telemetry_to, emit, set_worker_name
@@ -71,3 +75,24 @@ class TestSummarize:
         text = cli.summarize([{"span": "worker_join", "peer": "w"}])
         assert "worker_join" in text
         assert "-" in text
+
+
+class TestCliLogging:
+    def test_repeated_mains_leave_thread_logging_clean(self, tmp_path, monkeypatch):
+        """In-process mains must not bind logging to a since-closed stderr."""
+        path = tmp_path / "spans.jsonl"
+        path.write_text("")
+        first, second, current = io.StringIO(), io.StringIO(), io.StringIO()
+        for stream in (first, second):
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert cli.main([str(path)]) == 0
+        # the captured streams of earlier mains go away, as pytest's do
+        first.close()
+        second.close()
+        monkeypatch.setattr(sys, "stderr", current)
+        thread = threading.Thread(target=lambda: logging.getLogger(
+            "repro.dist.coordinator").warning("logged from a thread"))
+        thread.start()
+        thread.join()
+        assert "Logging error" not in current.getvalue()
+        assert current.getvalue().count("logged from a thread") == 1

@@ -5,11 +5,9 @@ import pickle
 import pytest
 
 from repro.experiments.config import ExperimentScale, default_system_params
-from repro.experiments.dynamic import jump_scenario
 from repro.experiments.stationary import stationary_sweep_spec
 from repro.obs.probes import PROBE_NAMES
 from repro.runner.specs import (
-    ControllerSpec,
     RunSpec,
     run_spec_from_jsonable,
     run_spec_to_jsonable,
@@ -36,14 +34,6 @@ class TestSpecValidation:
     def test_probes_are_normalised_to_a_tuple(self):
         spec = stationary_spec(probes=["mpl", "lock_wait"])
         assert spec.probes == ("mpl", "lock_wait")
-
-    def test_tracking_runs_reject_probes(self):
-        with pytest.raises(ValueError, match="stationary runs only"):
-            stationary_spec(
-                kind="tracking",
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=jump_scenario("accesses", 4, 16, jump_time=5.0),
-            )
 
     def test_specs_without_probes_stay_valid(self):
         assert stationary_spec(probes=None).probes is None

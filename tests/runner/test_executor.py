@@ -1,6 +1,8 @@
 """Executor tests, including the serial/parallel determinism guarantee."""
 
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,15 @@ def _explode(item):
     raise ValueError("injected cell failure")
 
 
+def _explode_first_then_sleep(item):
+    index, marker_dir = item
+    if index == 0:
+        raise ValueError("injected cell failure")
+    (Path(marker_dir) / str(index)).touch()
+    time.sleep(0.2)
+    return index
+
+
 class TestCellErrorWrapping:
     """A worker crash must name the failing cell, not dump a bare traceback."""
 
@@ -121,6 +132,17 @@ class TestCellErrorWrapping:
         assert first.cell_id in message
         assert f"N={first.params.n_terminals}" in message
         assert "ValueError: injected cell failure" in message
+
+    def test_parallel_failure_cancels_the_queued_cells(self, tmp_path):
+        """An early failure stops the sweep instead of running it out."""
+        items = [(index, str(tmp_path)) for index in range(40)]
+        started = time.monotonic()
+        with pytest.raises(CellExecutionError):
+            ParallelExecutor(workers=2).execute(_explode_first_then_sleep, items)
+        # only the cells already handed to a worker finish; 39 sleeping
+        # cells on 2 workers would take about 4 s
+        assert time.monotonic() - started < 3.0
+        assert len(list(tmp_path.iterdir())) < 10
 
     def test_error_survives_pickling(self):
         error = CellExecutionError("cell 'x' failed: boom", cell_id="x")

@@ -14,12 +14,10 @@ the metrics — zero across the board for serializable schemes, write skew
 (and nothing else) for snapshot isolation on a contended cell.
 """
 
-import pytest
-
 from repro.cc import ANOMALY_KINDS, CCSpec
 from repro.experiments.config import ExperimentScale
 from repro.runner.cells import execute_run_spec
-from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING, RunSpec
+from repro.runner.specs import KIND_STATIONARY, RunSpec
 from repro.tp.params import SystemParams, WorkloadParams
 
 #: every metric key a diagnostics cell must carry, one per AbortReason
@@ -134,21 +132,6 @@ class TestIsolationDiagnostics:
         for key in plain.metrics:
             assert recorded.metrics[key] == plain.metrics[key], key
 
-    def test_isolation_diagnostics_rejected_for_tracking_runs(self):
-        from repro.experiments.dynamic import jump_scenario
-        from repro.runner.specs import ControllerSpec
-
-        with pytest.raises(ValueError, match="stationary runs only"):
-            RunSpec(
-                kind=KIND_TRACKING,
-                cell_id="diag/tracking-isolation",
-                params=contended_params(),
-                scale=ExperimentScale.smoke(),
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=jump_scenario("accesses", 4, 16, jump_time=30.0),
-                isolation_diagnostics=True,
-            )
-
     def test_replicated_sweeps_keep_per_kind_anomalies(self):
         """The synthetic mean point folds the anomalies_<kind> means back."""
         from repro.experiments.stationary import stationary_sweep_spec
@@ -192,18 +175,3 @@ class TestOptInContract:
             "throughput", "mean_response_time", "restart_ratio",
             "mean_concurrency", "cpu_utilisation", "commits", "final_limit",
         }
-
-    def test_diagnostics_rejected_for_tracking_runs(self):
-        from repro.experiments.dynamic import jump_scenario
-        from repro.runner.specs import ControllerSpec
-
-        with pytest.raises(ValueError, match="stationary runs only"):
-            RunSpec(
-                kind=KIND_TRACKING,
-                cell_id="diag/tracking",
-                params=contended_params(),
-                scale=ExperimentScale.smoke(),
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=jump_scenario("accesses", 4, 16, jump_time=30.0),
-                scheme_diagnostics=True,
-            )

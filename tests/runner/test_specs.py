@@ -304,22 +304,6 @@ class TestArrivalsOnRunSpec:
         with pytest.raises(ValueError, match="teleport"):
             run_spec_from_jsonable(encoded)
 
-    def test_arrivals_are_stationary_only(self):
-        from repro.tp.arrivals import OpenArrivals
-
-        parameter, schedule = jump_scenario(
-            parameter="accesses", before=8, after=16, jump_time=10.0)
-        with pytest.raises(ValueError, match="stationary"):
-            RunSpec(
-                kind=KIND_TRACKING,
-                cell_id="test/tracking/open",
-                params=default_system_params(),
-                scale=ExperimentScale.smoke(),
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=(parameter, schedule),
-                arrivals=OpenArrivals(5.0),
-            )
-
     def test_workload_class_quotas_round_trip(self):
         spec = _stationary_spec(
             workload_classes=(
