@@ -1,6 +1,6 @@
 """The adversarial fuzz campaign as an experiment driver.
 
-Runs the repository's pinned counterexample hunt (``repro-fuzz`` seed 7,
+Runs the repository's pinned counterexample hunt (``repro fuzz`` seed 7,
 budget 15 — the campaign whose finding is committed under
 ``tests/fuzz_corpus/``) at the selected scale and prints the verdict table.
 The interesting output is which adversaries the adaptive controllers

@@ -39,12 +39,7 @@ from repro.experiments.config import ExperimentScale
 
 
 def _selected_scale() -> ExperimentScale:
-    name = os.environ.get("REPRO_BENCH_SCALE", "benchmark").lower()
-    if name == "smoke":
-        return ExperimentScale.smoke()
-    if name == "paper":
-        return ExperimentScale.paper()
-    return ExperimentScale.benchmark()
+    return ExperimentScale.preset(os.environ.get("REPRO_BENCH_SCALE", "benchmark").lower())
 
 
 def _int_env(name: str, default: int) -> int:

@@ -12,7 +12,8 @@ it with a small TCP protocol:
   workers (the sweep completes as long as one worker survives);
 * :mod:`~repro.dist.worker` — the cell-executing loop with heartbeats;
 * :mod:`~repro.dist.cluster` — :func:`launch_local_cluster`, a
-  coordinator plus N localhost subprocess workers for tests and CI;
+  coordinator plus N localhost subprocess workers for tests and CI, and
+  the spawn/reap helpers the ``repro`` command shares;
 * :mod:`~repro.dist.archive` — versioned JSON artifacts of replicated
   runs with mean ± confidence-interval summaries.
 
@@ -20,6 +21,9 @@ The determinism contract is unchanged from the in-process executors: for
 any worker count, join order, or mid-run worker crash, a sweep's results
 are bit-identical to :class:`~repro.runner.executor.SerialExecutor` —
 asserted against the golden trajectories in ``tests/dist/``.
+
+From the shell, ``repro run <scenario>`` serves one sweep to the cluster
+and ``repro worker --connect HOST:PORT`` joins one (see :mod:`repro.cli`).
 """
 
 from repro.dist.archive import (
@@ -30,7 +34,7 @@ from repro.dist.archive import (
     load_archive,
     write_archive,
 )
-from repro.dist.cluster import LocalCluster, launch_local_cluster, spawn_local_workers
+from repro.dist.cluster import LocalCluster, launch_local_cluster, reap_workers, spawn_local_workers
 from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import (
     ConnectionClosed,
@@ -38,17 +42,7 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
-
-
-def __getattr__(name):
-    # lazy: ``python -m repro.dist.worker`` (how local clusters spawn
-    # workers) imports this package first, and an eager import of the
-    # worker module here would make runpy warn about re-executing it
-    if name == "Worker":
-        from repro.dist.worker import Worker
-
-        return Worker
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.dist.worker import Worker
 
 __all__ = [
     "ARCHIVE_FORMAT",
@@ -59,6 +53,7 @@ __all__ = [
     "write_archive",
     "LocalCluster",
     "launch_local_cluster",
+    "reap_workers",
     "spawn_local_workers",
     "DistributedExecutor",
     "ConnectionClosed",

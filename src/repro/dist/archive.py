@@ -20,8 +20,8 @@ serialisation is deterministic (sorted keys, tagged non-finite floats, no
 timestamps): archiving the same run twice produces byte-identical files,
 which makes artifacts diffable across commits.
 
-:func:`archive_sweep` is the one-call entry point (used by the
-``repro-dist-coordinator --archive`` flag and directly scriptable)::
+:func:`archive_sweep` is the one-call entry point (the library form of
+``repro run --archive``)::
 
     from repro.dist.archive import archive_sweep
     path = archive_sweep("fig12_stationary", out_dir="artifacts",
@@ -143,17 +143,15 @@ def format_archive_table(archive: dict,
     return format_table(headers, rows, float_format=float_format)
 
 
-_SCALE_PRESETS = ("smoke", "benchmark", "paper")
-
-
 def archive_sweep(scenario: str, *, out_dir, scale: str = "paper",
                   replicates: int = 10, workers: int = 0,
                   address: Optional[str] = None, executor=None,
                   confidence: float = 0.95, base_params=None) -> Path:
     """Run a replicated registry sweep and archive it; returns the path.
 
-    ``scale`` is a preset name (``smoke``/``benchmark``/``paper``; the
-    ROADMAP's paper-scale default).  Execution is selected exactly as in
+    ``scale`` is a preset name (see
+    :meth:`~repro.experiments.config.ExperimentScale.preset`; paper scale
+    by default).  Execution is selected exactly as in
     :func:`~repro.runner.api.run_sweep`: in-process (``workers=0``),
     multiprocessing (``workers=N``), a distributed cluster
     (``address="host:port"``), or any ready ``executor``.
@@ -161,10 +159,7 @@ def archive_sweep(scenario: str, *, out_dir, scale: str = "paper",
     from repro.experiments.config import ExperimentScale
     from repro.runner.api import run_sweep
 
-    if scale not in _SCALE_PRESETS:
-        raise ValueError(f"scale must be one of {_SCALE_PRESETS}, got {scale!r}")
-    scale_preset = getattr(ExperimentScale, scale)()
-    result = run_sweep(scenario, scale=scale_preset, replicates=replicates,
+    result = run_sweep(scenario, scale=ExperimentScale.preset(scale), replicates=replicates,
                        workers=workers, address=address, executor=executor,
                        confidence=confidence, base_params=base_params)
     archive = build_archive(result, scenario=scenario, scale_name=scale,

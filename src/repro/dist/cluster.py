@@ -10,7 +10,7 @@ processes, real pickle frames — without any deployment machinery:
 ...     result = run_sweep("fig12_stationary", executor=cluster)
 
 The context manager owns everything: it binds an ephemeral port on
-localhost, spawns ``python -m repro.dist.worker`` subprocesses pointed at
+localhost, spawns ``python -m repro worker`` subprocesses pointed at
 it, waits until they have joined, and on exit shuts the executor down and
 reaps the processes.  ``fail_after_cells={worker_index: n}`` arms the
 worker-side fault injection (die abruptly when accepting cell ``n+1``)
@@ -51,7 +51,7 @@ def spawn_local_workers(address: str, count: int, *,
     processes = []
     for index in range(count):
         argv = [
-            sys.executable, "-m", "repro.dist.worker",
+            sys.executable, "-m", "repro", "worker",
             "--connect", address,
             "--name", f"{name_prefix}-{index}",
             "--retry", str(connect_retry),
@@ -60,6 +60,20 @@ def spawn_local_workers(address: str, count: int, *,
             argv += ["--fail-after-cells", str(fail_after_cells[index])]
         processes.append(subprocess.Popen(argv, env=_worker_env()))
     return processes
+
+
+def reap_workers(processes: List[subprocess.Popen]) -> None:
+    """Wait for worker subprocesses to exit; kill any still running after 15 s.
+
+    Call it after closing the executor the workers serve: that tells them
+    to shut down, so a healthy worker exits well within the timeout.
+    """
+    for process in processes:
+        try:
+            process.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
 
 
 class LocalCluster:
@@ -112,12 +126,7 @@ class LocalCluster:
     def _shutdown(self) -> None:
         if self.executor is not None:
             self.executor.close()
-        for process in self.processes:
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-                process.kill()
-                process.wait()
+        reap_workers(self.processes)
 
     # ------------------------------------------------------------------
     # executor interface by delegation

@@ -6,7 +6,7 @@ interface as :class:`~repro.runner.executor.SerialExecutor` and
 back in the items' order, ``execute`` collects them — but fans the cells
 out over *networked* workers instead of local processes:
 
-* it binds a TCP address and accepts ``repro-dist-worker`` connections at
+* it binds a TCP address and accepts ``repro worker`` connections at
   any time, including mid-sweep (late workers simply start pulling cells);
 * each connected worker pulls one cell at a time (``ready`` -> ``task``),
   so fast hosts naturally take more cells than slow ones;
@@ -31,21 +31,17 @@ cell — is forwarded to the coordinator and re-raised out of ``map``.
 Retrying a deterministic failure would loop forever; dying workers, by
 contrast, are environmental and their cells are safely re-run.
 
-``main`` is the ``repro-dist-coordinator`` console entry point: it runs a
-named registry scenario over the cluster, prints the replicate-aggregate
-table, and optionally writes a versioned archive artifact
-(:mod:`repro.dist.archive`).
+``repro run`` (:mod:`repro.cli`) serves a named registry scenario to a
+cluster through this executor from the shell.
 """
 
 from __future__ import annotations
 
-import argparse
 import collections
 import logging
 import socket
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.dist import protocol
@@ -299,7 +295,7 @@ class DistributedExecutor:
             raise RuntimeError(
                 f"sweep stalled: no workers connected for {waited:.0f}s "
                 f"({len(sweep.results)} of {len(sweep.items)} cells buffered); "
-                f"start workers with: repro-dist-worker --connect {self.bound_address}"
+                f"start workers with: repro worker --connect {self.bound_address}"
             )
 
     def _accept_loop(self) -> None:
@@ -459,106 +455,3 @@ class DistributedExecutor:
                 raise ProtocolError(
                     f"unexpected message while awaiting a result: {kind!r}"
                 )
-
-
-# ----------------------------------------------------------------------
-# console entry point
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    """``repro-dist-coordinator``: run a registry scenario over a cluster."""
-    parser = argparse.ArgumentParser(
-        prog="repro-dist-coordinator",
-        description=(
-            "Serve a named experiment sweep to repro-dist-worker processes "
-            "and print the replicate-aggregate (mean ± CI) table."
-        ),
-    )
-    parser.add_argument("scenario", help="registry scenario name (e.g. fig12_stationary)")
-    parser.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-                        help="address to listen on (default: 127.0.0.1:0, ephemeral port)")
-    parser.add_argument("--scale", default="benchmark",
-                        choices=("smoke", "benchmark", "paper"),
-                        help="experiment scale preset (default: benchmark)")
-    parser.add_argument("--replicates", type=int, default=1,
-                        help="independent replicates per cell (default: 1)")
-    parser.add_argument("--min-workers", type=int, default=1,
-                        help="wait for this many workers before starting (default: 1)")
-    parser.add_argument("--worker-wait", type=float, default=300.0, metavar="SECONDS",
-                        help="how long to wait for workers (default: 300)")
-    parser.add_argument("--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
-                        help="declare a silent worker dead after this long (default: 30)")
-    parser.add_argument("--local-workers", type=int, default=0, metavar="N",
-                        help="also spawn N worker subprocesses on this host")
-    parser.add_argument("--archive", type=Path, default=None, metavar="DIR",
-                        help="write a versioned JSON archive artifact into DIR")
-    parser.add_argument("--confidence", type=float, default=0.95,
-                        help="confidence level of the CI aggregation (default: 0.95)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="log warnings and errors only")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log debug diagnostics")
-    args = parser.parse_args(argv)
-    telemetry.configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
-
-    from repro.experiments.config import ExperimentScale
-    from repro.experiments.report import format_aggregate_table
-    from repro.runner.api import run_sweep
-
-    scale = {
-        "smoke": ExperimentScale.smoke,
-        "benchmark": ExperimentScale.benchmark,
-        "paper": ExperimentScale.paper,
-    }[args.scale]()
-
-    executor = DistributedExecutor(
-        args.bind,
-        heartbeat_timeout=args.heartbeat_timeout,
-        worker_timeout=args.worker_wait,
-    )
-    logger.info("coordinator listening on %s", executor.bound_address)
-    local_processes = []
-    try:
-        if args.local_workers:
-            from repro.dist.cluster import spawn_local_workers
-
-            local_processes = spawn_local_workers(
-                executor.bound_address, args.local_workers
-            )
-        executor.wait_for_workers(max(args.min_workers, 1),
-                                  timeout=args.worker_wait)
-        logger.info("%d worker(s) connected; running %r at %s scale, "
-                    "replicates=%d", executor.workers, args.scenario,
-                    args.scale, args.replicates)
-        started = time.monotonic()
-        result = run_sweep(args.scenario, scale=scale,
-                           replicates=args.replicates, executor=executor,
-                           confidence=args.confidence)
-        elapsed = time.monotonic() - started
-        cells = len(result.results)
-        if elapsed > 0:
-            logger.info("%d cells in %.1fs (%.2f cells/s)",
-                        cells, elapsed, cells / elapsed)
-        else:
-            logger.info("%d cells", cells)
-        print(format_aggregate_table(result.aggregates))
-        if args.archive is not None:
-            from repro.dist.archive import build_archive, write_archive
-
-            archive = build_archive(result, scenario=args.scenario,
-                                    scale_name=args.scale,
-                                    confidence=args.confidence)
-            path = write_archive(archive, args.archive)
-            logger.info("archive written to %s", path)
-    finally:
-        executor.close()
-        for process in local_processes:
-            try:
-                process.wait(timeout=15)
-            except Exception:
-                process.kill()
-                process.wait()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI CLI smoke
-    raise SystemExit(main())

@@ -14,10 +14,9 @@ multiprocessing executor uses: the coordinator receives a
 not a bare remote traceback.  A worker survives its own cell errors — it
 reports them and keeps serving.
 
-``main`` is the ``repro-dist-worker`` console entry point (also runnable
-as ``python -m repro.dist.worker``, which is how
-:func:`~repro.dist.cluster.launch_local_cluster` spawns local workers).
-``--fail-after-cells N`` is deliberate fault injection for the
+``repro worker`` (:mod:`repro.cli`) runs one from the shell; local
+clusters spawn it as ``python -m repro worker``.  ``fail_after_cells=N``
+(``--fail-after-cells N``) is deliberate fault injection for the
 fault-tolerance tests: the worker accepts its ``N+1``-th cell and then
 dies abruptly (``os._exit``), exactly like a crashed host with a cell in
 flight.
@@ -25,8 +24,6 @@ flight.
 
 from __future__ import annotations
 
-import argparse
-import logging
 import os
 import socket
 import threading
@@ -47,8 +44,6 @@ from repro.dist.protocol import (
     ProtocolError,
 )
 from repro.runner.errors import CellExecutionError, run_with_cell_context
-
-logger = logging.getLogger("repro.dist.worker")
 
 
 class Worker:
@@ -154,48 +149,3 @@ class Worker:
                 sock.close()
             except OSError:  # pragma: no cover - platform dependent
                 pass
-
-
-# ----------------------------------------------------------------------
-# console entry point
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    """``repro-dist-worker``: join a coordinator and execute cells."""
-    parser = argparse.ArgumentParser(
-        prog="repro-dist-worker",
-        description="Connect to a repro-dist-coordinator and execute sweep cells.",
-    )
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to join")
-    parser.add_argument("--name", default=None,
-                        help="worker name shown by the coordinator (default: host-pid)")
-    parser.add_argument("--heartbeat-interval", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="heartbeat period while executing a cell (default: 1)")
-    parser.add_argument("--retry", type=float, default=0.0, metavar="SECONDS",
-                        help="keep retrying the initial connection this long "
-                             "(lets workers start before the coordinator)")
-    # fault injection for the fault-tolerance tests; hidden from --help
-    parser.add_argument("--fail-after-cells", type=int, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--quiet", action="store_true",
-                        help="log warnings and errors only")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log debug diagnostics")
-    args = parser.parse_args(argv)
-    telemetry.configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
-
-    worker = Worker(
-        args.connect,
-        name=args.name,
-        heartbeat_interval=args.heartbeat_interval,
-        connect_retry=args.retry,
-        fail_after_cells=args.fail_after_cells,
-    )
-    cells = worker.run()
-    logger.info("worker %s: executed %d cell(s)", worker.name, cells)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess
-    raise SystemExit(main())

@@ -4,7 +4,9 @@ The paper's figures were produced with long simulation runs at offered loads
 of up to 800 terminals.  Re-running at that size is possible but slow in a
 pure-Python discrete-event simulator, so every experiment accepts an
 :class:`ExperimentScale` that shrinks the horizon and the sweep while
-preserving the qualitative shape.  Three presets are provided:
+preserving the qualitative shape.  Three presets are provided, named in
+:data:`SCALE_PRESETS` and looked up with :meth:`ExperimentScale.preset`
+(every ``--scale`` option and scale-name field resolves through it):
 
 * ``ExperimentScale.smoke()`` -- seconds per experiment; used by unit and
   integration tests.
@@ -112,6 +114,15 @@ class ExperimentScale:
     synthetic_steps: int
 
     @classmethod
+    def preset(cls, name: str) -> "ExperimentScale":
+        """The preset called ``name``, one of :data:`SCALE_PRESETS`."""
+        if name not in SCALE_PRESETS:
+            raise ValueError(
+                f"unknown scale {name!r}; expected one of {', '.join(SCALE_PRESETS)}"
+            )
+        return getattr(cls, name)()
+
+    @classmethod
     def smoke(cls) -> "ExperimentScale":
         """Tiny runs for tests: shape only, large statistical error."""
         return cls(
@@ -146,3 +157,8 @@ class ExperimentScale:
             measurement_interval=5.0,
             synthetic_steps=1000,
         )
+
+
+#: the scale preset names, smallest first: the contract every sweep
+#: archive, fuzz campaign and service job is keyed on
+SCALE_PRESETS = ("smoke", "benchmark", "paper")

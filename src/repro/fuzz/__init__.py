@@ -15,8 +15,9 @@ hostile inputs, don't hand-pick them):
 * :mod:`repro.fuzz.executor` — the campaign loop over the runner's
   serial/parallel executors;
 * :mod:`repro.fuzz.corpus` — counterexamples archived as replayable JSON
-  regression fixtures (``tests/fuzz_corpus/``);
-* :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console entry point.
+  regression fixtures (``tests/fuzz_corpus/``).
+
+``repro fuzz`` runs one campaign from the shell (see :mod:`repro.cli`).
 """
 
 from repro.fuzz.adversaries import (

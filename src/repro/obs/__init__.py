@@ -14,8 +14,8 @@ The package has two halves, both opt-in and both zero-cost when off:
   spans (cell execute times, sweep durations, dispatch/queue waits,
   heartbeat gaps) emitted as canonical JSONL by the executors and the
   distributed coordinator, attributed to the worker process that produced
-  them.  Summarise a telemetry file with the ``repro-obs`` CLI
-  (:mod:`repro.obs.cli`).
+  them.  Summarise a telemetry file with ``repro obs``
+  (:mod:`repro.obs.cli` renders the tables).
 
 :mod:`repro.obs.calibration` closes the loop into the analytic layer: the
 lock-wait probe's measured statistics calibrate

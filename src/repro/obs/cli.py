@@ -1,8 +1,8 @@
-"""``repro-obs``: summarise a structured-telemetry JSONL file.
+"""The tables behind ``repro obs``: summarise a structured-telemetry JSONL file.
 
 Reads the span stream written by :mod:`repro.obs.telemetry` (export
 ``REPRO_TELEMETRY=/path/to/file.jsonl`` around any runner, coordinator or
-worker invocation) and prints two fixed-width tables in the style of
+worker invocation) and renders two fixed-width tables in the style of
 :mod:`repro.experiments.report`:
 
 * a **span summary** — one row per span name with the record count and,
@@ -11,22 +11,17 @@ worker invocation) and prints two fixed-width tables in the style of
   and execute-time statistics, so a parallel or distributed run shows at
   a glance how evenly work was spread.
 
-Malformed lines are counted and reported on stderr, not fatal: a telemetry
-file a crashed worker was writing to mid-line must still summarise.
+Malformed lines are counted (``repro obs`` reports them on stderr), not
+fatal: a telemetry file a crashed worker was writing to mid-line must
+still summarise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import logging
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.obs.telemetry import configure_cli_logging
-
-logger = logging.getLogger("repro.obs")
 
 
 class _SpanStats(object):
@@ -103,32 +98,3 @@ def summarize(records: Sequence[dict]) -> str:
         sections.append(format_table(worker_headers, worker_rows,
                                      float_format="{:.3f}"))
     return "\n\n".join(sections)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the ``repro-obs`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="repro-obs",
-        description="summarise a structured-telemetry JSONL file "
-                    "(written when REPRO_TELEMETRY is exported)",
-    )
-    parser.add_argument("telemetry", help="path to the telemetry JSONL file")
-    parser.add_argument("--quiet", action="store_true",
-                        help="log warnings and errors only")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log debug diagnostics")
-    options = parser.parse_args(argv)
-    configure_cli_logging(verbose=options.verbose, quiet=options.quiet)
-    try:
-        records, malformed = read_spans(options.telemetry)
-    except OSError as error:
-        print(f"repro-obs: {error}", file=sys.stderr)
-        return 1
-    if malformed:
-        logger.warning("skipped %d malformed line(s)", malformed)
-    print(summarize(records))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution guard
-    sys.exit(main())

@@ -29,8 +29,8 @@ Telemetry costs one ``None`` check when off — the executors consult
 sink — and is wall-clock only by design: it never touches the simulation,
 so telemetered runs remain bit-identical to untelemetered ones.
 
-Summarise a telemetry file with the ``repro-obs`` CLI
-(:mod:`repro.obs.cli`).  The propagation contract shared with the probes
+Summarise a telemetry file with ``repro obs``
+(:mod:`repro.obs.cli` renders the tables).  The propagation contract shared with the probes
 and the golden tracer is documented in ``docs/observability.md``.
 """
 
@@ -207,7 +207,7 @@ class _CurrentStderrHandler(logging.StreamHandler):
 
 
 def configure_cli_logging(verbose: bool = False, quiet: bool = False) -> None:
-    """Configure the ``repro`` logger for a ``repro-*`` CLI process.
+    """Configure the ``repro`` logger for a ``repro`` command process.
 
     Diagnostics go to **stderr** (result tables stay on stdout): WARNING
     and up with ``quiet``, DEBUG and up with ``verbose``, INFO otherwise.

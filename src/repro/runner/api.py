@@ -78,7 +78,7 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
     ``workers`` selects the executor: 0/1 run serially in-process, ``N>1``
     fan out over ``N`` processes, ``None`` uses every CPU.
     ``address="host:port"`` serves the cells to networked
-    ``repro-dist-worker`` processes instead (the executor is owned, and
+    ``repro worker`` processes instead (the executor is owned, and
     closed, by this call; pass a ready ``executor`` — e.g. a
     :class:`~repro.dist.cluster.LocalCluster` — to manage its lifetime
     yourself).  Results are bit-identical between all settings.

@@ -139,7 +139,7 @@ def make_executor(workers: Optional[int] = 0, mp_context: Optional[str] = None,
     With ``address="host:port"`` a
     :class:`~repro.dist.coordinator.DistributedExecutor` is returned
     instead: it binds the address and serves cells to every
-    ``repro-dist-worker`` that connects (``workers`` is ignored — the
+    ``repro worker`` that connects (``workers`` is ignored — the
     cluster size is however many workers join).  Extra keyword options
     (``heartbeat_timeout``, ``worker_timeout``) are forwarded to it.
     """

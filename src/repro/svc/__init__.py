@@ -20,10 +20,11 @@ and makes repeated work free:
 * :mod:`repro.svc.client` — :class:`~repro.svc.client.ServiceClient`
   plus :class:`~repro.svc.client.ServiceExecutor`, which lets any
   executor-shaped caller (``run_sweep(executor=...)``, fuzz campaigns)
-  route cells through a running service transparently;
-* :mod:`repro.svc.cli` — the ``repro-svc`` console entry point
-  (``serve`` / ``submit`` / ``status`` / ``results`` / ``cache`` /
-  ``shutdown``).
+  route cells through a running service transparently.
+
+From the shell, ``repro serve`` runs a service and ``repro submit`` /
+``status`` / ``results`` / ``cache`` / ``shutdown`` are its one-request
+clients (see :mod:`repro.cli`).
 """
 
 from repro.svc.cache import CACHE_FORMAT, ResultCache

@@ -142,22 +142,17 @@ def scenario_cells(scenario: str, scale: str = "smoke",
     from repro.experiments.config import ExperimentScale
     from repro.runner.registry import build_sweep
 
-    presets = {"smoke": ExperimentScale.smoke,
-               "benchmark": ExperimentScale.benchmark,
-               "paper": ExperimentScale.paper}
-    if scale not in presets:
-        raise ValueError(f"scale must be one of {sorted(presets)}, got {scale!r}")
-    spec = build_sweep(scenario, scale=presets[scale]())
+    spec = build_sweep(scenario, scale=ExperimentScale.preset(scale))
     return list(spec.with_replicates(replicates).cells)
 
 
 class SweepService:
     """A persistent, cache-backed sweep executor with a FIFO job queue.
 
-    ``worker_bind`` is where ``repro-dist-worker`` processes connect;
+    ``worker_bind`` is where ``repro worker`` processes connect;
     ``control_bind`` is where :class:`~repro.svc.client.ServiceClient`
-    (and the ``repro-svc`` CLI) talk to the service.  Both accept port 0
-    for an ephemeral port — read the bound addresses back from
+    (and the ``repro`` client subcommands) talk to the service.  Both
+    accept port 0 for an ephemeral port — read the bound addresses back from
     :attr:`worker_address` / :attr:`control_address`.  ``cache`` may be a
     ready :class:`~repro.svc.cache.ResultCache`, a directory path, or
     None to run uncached (every cell always simulates).
@@ -198,7 +193,7 @@ class SweepService:
     # ------------------------------------------------------------------
     @property
     def worker_address(self) -> str:
-        """``host:port`` that ``repro-dist-worker`` processes connect to."""
+        """``host:port`` that ``repro worker`` processes connect to."""
         return self._executor.bound_address
 
     @property

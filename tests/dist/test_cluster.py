@@ -8,16 +8,16 @@ here against both a fresh serial run and the checked-in golden trajectory
 fixtures.
 """
 
-import importlib.util
 import json
 import socket
-import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
+import regen_goldens
 
+from repro.cli import main as repro_main
 from repro.dist import protocol
 from repro.dist.cluster import launch_local_cluster
 from repro.dist.coordinator import DistributedExecutor
@@ -31,17 +31,7 @@ from repro.runner.registry import build_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
-# single source of truth for the canonical golden serialisation: the regen
-# tool, loaded by path exactly as tests/golden/test_golden_trajectories.py does
-_TOOL_PATH = GOLDEN_DIR.parent.parent / "tools" / "regen_goldens.py"
-if "regen_goldens" in sys.modules:
-    regen_goldens = sys.modules["regen_goldens"]
-else:
-    _spec = importlib.util.spec_from_file_location("regen_goldens", _TOOL_PATH)
-    regen_goldens = importlib.util.module_from_spec(_spec)
-    sys.modules["regen_goldens"] = regen_goldens
-    _spec.loader.exec_module(regen_goldens)
-
+# single source of truth for the canonical golden serialisation
 _canonical = regen_goldens.canonical_json
 
 
@@ -284,11 +274,9 @@ class TestDistributedExecutorBehaviour:
 
 
 class TestConsoleEntryPoints:
-    def test_coordinator_main_with_local_workers_and_archive(self, tmp_path, capsys):
-        from repro.dist import coordinator
-
-        exit_code = coordinator.main([
-            "thrashing", "--scale", "smoke", "--local-workers", "2",
+    def test_run_with_local_workers_and_archive(self, tmp_path, capsys):
+        exit_code = repro_main([
+            "run", "thrashing", "--scale", "smoke", "--local-workers", "2",
             "--min-workers", "2", "--worker-wait", "60",
             "--archive", str(tmp_path),
         ])
@@ -306,15 +294,13 @@ class TestConsoleEntryPoints:
         [artifact] = tmp_path.glob("*.json")
         assert load_archive(artifact)["scenario"] == "thrashing"
 
-    def test_worker_main_serves_until_shutdown(self, capsys):
-        from repro.dist import worker
-
+    def test_worker_serves_until_shutdown(self, capsys):
         with DistributedExecutor("127.0.0.1:0") as executor:
             outcome = {}
 
             def run_main():
-                outcome["exit"] = worker.main(
-                    ["--connect", executor.bound_address, "--name", "cli-worker"])
+                outcome["exit"] = repro_main(
+                    ["worker", "--connect", executor.bound_address, "--name", "cli-worker"])
 
             thread = threading.Thread(target=run_main, daemon=True)
             thread.start()

@@ -1,11 +1,12 @@
-"""Tests for the campaign loop and the repro-fuzz CLI."""
+"""Tests for the campaign loop and ``repro fuzz``."""
 
 import dataclasses
 
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.fuzz import cli
+from repro.cli import main
+from repro.fuzz import executor as fuzz_executor
 from repro.fuzz.corpus import canonical_json, load_counterexample
 from repro.fuzz.executor import FuzzReport, run_campaign
 from repro.fuzz.generator import generate_candidates
@@ -107,32 +108,32 @@ def make_report(found: bool) -> FuzzReport:
 
 class TestCli:
     def test_smoke_run_exits_zero_and_prints_verdicts(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_campaign",
+        monkeypatch.setattr(fuzz_executor, "run_campaign",
                             lambda **kwargs: make_report(found=True))
-        assert cli.main(["--seed", "1", "--budget", "2"]) == 0
+        assert main(["fuzz", "--seed", "1", "--budget", "2"]) == 0
         out = capsys.readouterr().out
         assert "counterexample(s) in 2 candidates" in out
         assert "FAIL(" in out
 
     def test_archive_flag_writes_replayable_documents(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_campaign",
+        monkeypatch.setattr(fuzz_executor, "run_campaign",
                             lambda **kwargs: make_report(found=True))
         corpus = tmp_path / "corpus"
-        assert cli.main(["--budget", "2", "--archive", str(corpus)]) == 0
+        assert main(["fuzz", "--budget", "2", "--archive", str(corpus)]) == 0
         paths = sorted(corpus.glob("*.json"))
         assert len(paths) == 2
         for path in paths:
             assert load_counterexample(path).verdict.failed
 
     def test_expect_counterexample_fails_an_empty_campaign(self, monkeypatch):
-        monkeypatch.setattr(cli, "run_campaign",
+        monkeypatch.setattr(fuzz_executor, "run_campaign",
                             lambda **kwargs: make_report(found=False))
-        assert cli.main(["--budget", "2", "--expect-counterexample"]) == 1
+        assert main(["fuzz", "--budget", "2", "--expect-counterexample"]) == 1
 
     def test_expect_counterexample_passes_when_found(self, monkeypatch):
-        monkeypatch.setattr(cli, "run_campaign",
+        monkeypatch.setattr(fuzz_executor, "run_campaign",
                             lambda **kwargs: make_report(found=True))
-        assert cli.main(["--budget", "2", "--expect-counterexample"]) == 0
+        assert main(["fuzz", "--budget", "2", "--expect-counterexample"]) == 0
 
     def test_threshold_flags_reach_the_campaign(self, monkeypatch):
         seen = {}
@@ -141,8 +142,8 @@ class TestCli:
             seen.update(kwargs)
             return make_report(found=True)
 
-        monkeypatch.setattr(cli, "run_campaign", fake)
-        cli.main(["--rescue-fraction", "0.5", "--livelock-ratio", "2.0",
+        monkeypatch.setattr(fuzz_executor, "run_campaign", fake)
+        main(["fuzz", "--rescue-fraction", "0.5", "--livelock-ratio", "2.0",
                   "--min-commit-rate", "1.0", "--kinds", "hot_key"])
         assert seen["thresholds"] == FailureThresholds(
             rescue_fraction=0.5, livelock_ratio=2.0, min_commit_rate=1.0)
@@ -150,7 +151,7 @@ class TestCli:
 
     def test_unknown_kind_is_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
-            cli.main(["--kinds", "meteor_strike"])
+            main(["fuzz", "--kinds", "meteor_strike"])
 
 
 def test_campaign_report_encodes_canonically():

@@ -32,25 +32,17 @@ A failure here means a change altered simulated trajectories.  Never
 intentional and documented; see ``tools/regen_goldens.py``.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
+import regen_goldens  # single source of truth for capture + canonicalisation
 
 from repro.experiments.config import ExperimentScale
 from repro.runner.api import run_sweep
 from repro.runner.registry import build_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent
-_TOOL_PATH = GOLDEN_DIR.parent.parent / "tools" / "regen_goldens.py"
-
-# single source of truth for capture + canonicalisation: the regen tool
-_spec = importlib.util.spec_from_file_location("regen_goldens", _TOOL_PATH)
-regen_goldens = importlib.util.module_from_spec(_spec)
-sys.modules.setdefault("regen_goldens", regen_goldens)
-_spec.loader.exec_module(regen_goldens)
 
 SCENARIOS = regen_goldens.GOLDEN_SCENARIOS
 

@@ -1,4 +1,4 @@
-"""The ``repro-obs`` CLI: summarising a telemetry JSONL file."""
+"""``repro obs``: summarising a telemetry JSONL file."""
 
 import io
 import json
@@ -6,6 +6,7 @@ import logging
 import sys
 import threading
 
+from repro.cli import main
 from repro.obs import cli
 from repro.obs.telemetry import telemetry_to, emit, set_worker_name
 
@@ -29,7 +30,7 @@ class TestSummarize:
     def test_span_and_worker_tables(self, tmp_path, capsys):
         path = tmp_path / "spans.jsonl"
         write_spans(path)
-        assert cli.main([str(path)]) == 0
+        assert main(["obs", str(path)]) == 0
         out = capsys.readouterr().out
         # span summary: every span name, with stats for the timed ones
         assert "cell_execute" in out
@@ -43,12 +44,12 @@ class TestSummarize:
     def test_empty_file_reports_no_spans(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert cli.main([str(path)]) == 0
+        assert main(["obs", str(path)]) == 0
         assert "no telemetry spans" in capsys.readouterr().out
 
     def test_missing_file_exits_nonzero_with_a_message(self, tmp_path, capsys):
-        assert cli.main([str(tmp_path / "absent.jsonl")]) == 1
-        assert "repro-obs" in capsys.readouterr().err
+        assert main(["obs", str(tmp_path / "absent.jsonl")]) == 1
+        assert "repro obs" in capsys.readouterr().err
 
     def test_malformed_lines_are_skipped_not_fatal(self, tmp_path, capsys):
         path = tmp_path / "torn.jsonl"
@@ -59,7 +60,7 @@ class TestSummarize:
             json.dumps([1, 2, 3]),  # valid JSON, not a record
         ]
         path.write_text("\n".join(records) + "\n")
-        assert cli.main([str(path)]) == 0
+        assert main(["obs", str(path)]) == 0
         captured = capsys.readouterr()
         assert "cell_execute" in captured.out
         assert "malformed" in captured.err
@@ -85,7 +86,7 @@ class TestCliLogging:
         first, second, current = io.StringIO(), io.StringIO(), io.StringIO()
         for stream in (first, second):
             monkeypatch.setattr(sys, "stderr", stream)
-            assert cli.main([str(path)]) == 0
+            assert main(["obs", str(path)]) == 0
         # the captured streams of earlier mains go away, as pytest's do
         first.close()
         second.close()

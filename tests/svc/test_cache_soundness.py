@@ -17,9 +17,10 @@ import json
 from pathlib import Path
 
 import pytest
+import regen_goldens
 
 from repro.canonical import canonical_json
-from repro.dist.cluster import spawn_local_workers
+from repro.dist.cluster import reap_workers, spawn_local_workers
 from repro.svc.client import ServiceClient
 from repro.svc.service import SweepService
 
@@ -34,18 +35,7 @@ SCENARIOS = ("thrashing", "fig12_stationary", "fig13_is_jump",
 
 def test_scenario_list_matches_the_golden_harness():
     """Keep this suite honest: it must cover every pinned scenario."""
-    import importlib.util
-    import sys
-
-    tool = GOLDEN_DIR.parent.parent / "tools" / "regen_goldens.py"
-    if "regen_goldens" in sys.modules:
-        regen = sys.modules["regen_goldens"]
-    else:
-        spec = importlib.util.spec_from_file_location("regen_goldens", tool)
-        regen = importlib.util.module_from_spec(spec)
-        sys.modules["regen_goldens"] = regen
-        spec.loader.exec_module(regen)
-    assert tuple(regen.GOLDEN_SCENARIOS) == SCENARIOS
+    assert tuple(regen_goldens.GOLDEN_SCENARIOS) == SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +53,7 @@ def service(cache_dir):
             yield svc
         finally:
             svc.close()
-            for process in processes:
-                try:
-                    process.wait(timeout=15)
-                except Exception:
-                    process.kill()
-                    process.wait()
+            reap_workers(processes)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -10,29 +10,18 @@ that the extraction changed no committed artifact's bytes.
 """
 
 import hashlib
-import importlib.util
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
+import regen_goldens
 
 from repro import canonical
 from repro.dist import archive as dist_archive
 from repro.fuzz import corpus as fuzz_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-
-# load the regen tool exactly as the golden tests do
-_TOOL_PATH = REPO_ROOT / "tools" / "regen_goldens.py"
-if "regen_goldens" in sys.modules:
-    regen_goldens = sys.modules["regen_goldens"]
-else:
-    _spec = importlib.util.spec_from_file_location("regen_goldens", _TOOL_PATH)
-    regen_goldens = importlib.util.module_from_spec(_spec)
-    sys.modules["regen_goldens"] = regen_goldens
-    _spec.loader.exec_module(regen_goldens)
 
 #: a payload exercising every canonicalisation rule at once: unsorted
 #: keys, nested tuples, non-finite floats, precise doubles, unicode

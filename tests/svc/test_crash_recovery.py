@@ -1,6 +1,6 @@
 """Crash-recovery: a service killed mid-job loses no cached work.
 
-A real ``repro-svc serve`` subprocess is armed with the test-only
+A real ``repro serve`` subprocess is armed with the test-only
 ``--exit-after-fills N`` fault injection (the service-side mirror of the
 worker's ``--fail-after-cells``): it hard-exits (``os._exit(17)``, no
 shutdown courtesies) the moment the Nth result lands in the cache — mid
@@ -33,8 +33,8 @@ FILLS_BEFORE_CRASH = 2
 
 
 def _start_serve(cache_dir, *extra_args):
-    """Launch ``repro-svc serve`` and scrape its bound addresses."""
-    argv = [sys.executable, "-m", "repro.svc.cli", "serve",
+    """Launch ``repro serve`` and scrape its bound addresses."""
+    argv = [sys.executable, "-m", "repro", "serve",
             "--cache", str(cache_dir), "--local-workers", "1",
             *extra_args]
     process = subprocess.Popen(argv, env=_worker_env(),

@@ -5,9 +5,8 @@ and ``test_crash_recovery.py``; this module covers the machinery around
 them: FIFO queue semantics, per-request error mapping on both control
 planes (TCP and HTTP), the cache's degradation paths (corrupt entries,
 foreign functions), the telemetry spans, fuzz-campaign routing, and the
-``repro-svc`` CLI end to end (``serve`` runs in a thread here so the
-coverage gate sees it; the subprocess path is exercised by the
-crash-recovery test).
+``repro`` service subcommands end to end (``serve`` runs in a thread
+here; the subprocess path is exercised by the crash-recovery test).
 """
 
 import dataclasses
@@ -20,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.canonical import canonical_json
+from repro.cli import main as repro_main
 from repro.dist.worker import Worker
 from repro.experiments.config import ExperimentScale
 from repro.obs.telemetry import telemetry_to
@@ -28,7 +28,6 @@ from repro.runner.executor import SerialExecutor
 from repro.runner.registry import build_sweep
 from repro.runner.specs import ControllerSpec
 from repro.svc.cache import ResultCache
-from repro.svc.cli import main as svc_main
 from repro.svc.client import ServiceClient, ServiceError, ServiceExecutor
 from repro.svc.http import make_http_server
 from repro.svc.service import SweepService, results_document
@@ -319,7 +318,7 @@ class TestCli:
         control = f"127.0.0.1:{_free_port()}"
         http = f"127.0.0.1:{_free_port()}"
         serve = threading.Thread(
-            target=svc_main,
+            target=repro_main,
             args=(["serve", "--control", control, "--http", http,
                    "--cache", str(tmp_path / "cache"),
                    "--local-workers", "1", "--min-workers", "1"],),
@@ -336,28 +335,30 @@ class TestCli:
         else:
             pytest.fail("serve thread never opened its control port")
 
-        assert svc_main(["submit", "--address", control, "thrashing",
-                         "--wait"]) == 0
+        assert repro_main(["submit", "--address", control, "thrashing",
+                           "--wait"]) == 0
         out = capsys.readouterr().out
         assert "job-1" in out and '"state": "done"' in out
-        assert svc_main(["status", "--address", control, "job-1"]) == 0
+        assert repro_main(["status", "--address", control, "job-1"]) == 0
         assert '"cache_misses": 3' in capsys.readouterr().out
-        assert svc_main(["status", "--address", control]) == 0
-        assert svc_main(["results", "--address", control, "job-1"]) == 0
+        assert repro_main(["status", "--address", control]) == 0
+        assert repro_main(["results", "--address", control, "job-1"]) == 0
         assert '"cells"' in capsys.readouterr().out
-        assert svc_main(["cache", "--address", control]) == 0
+        assert repro_main(["cache", "--address", control]) == 0
         assert '"stores": 3' in capsys.readouterr().out
-        assert svc_main(["shutdown", "--address", control]) == 0
+        assert repro_main(["shutdown", "--address", control]) == 0
         serve.join(timeout=30)
         assert not serve.is_alive()
 
     def test_submit_wait_exits_nonzero_on_failure(self, tmp_path, capsys):
         # a service with no workers and a tiny stall budget: the job fails
         with SweepService(cache=tmp_path / "f", worker_timeout=0.6) as svc:
-            assert svc_main(["submit", "--address", svc.control_address,
-                             "thrashing", "--wait", "--timeout", "60"]) == 1
+            assert repro_main(["submit", "--address", svc.control_address,
+                               "thrashing", "--wait", "--timeout", "60"]) == 1
             assert '"state": "failed"' in capsys.readouterr().out
 
-    def test_exit_after_fills_requires_a_cache(self):
-        with pytest.raises(SystemExit, match="requires --cache"):
-            svc_main(["serve", "--exit-after-fills", "1"])
+    def test_exit_after_fills_requires_a_cache(self, capsys):
+        assert repro_main(["serve", "--exit-after-fills", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "repro serve: --exit-after-fills requires --cache" in err.splitlines()
