@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.analytic.occ import OccModel
-from repro.analytic.tay import TayThroughputModel
+from repro.analytic.tay import TayModel, TayThroughputModel
 from repro.cc.registry import CCSpec, cc_family
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -61,6 +61,7 @@ def reference_model_name(cc: Optional[object]) -> str:
 def reference_model_for(params: "SystemParams",
                         cc: Optional[object],
                         waiting_share: Optional[float] = None,
+                        workload: Optional["WorkloadParams"] = None,
                         ) -> Tuple[str, object]:
     """Build the scheme-aware analytic reference for one cell.
 
@@ -71,14 +72,15 @@ def reference_model_for(params: "SystemParams",
     ``waiting_share`` calibrates the Tay reference from *measured*
     lock-wait statistics (see :func:`repro.obs.calibration.measured_wait_share`);
     ``None`` keeps the model's default and is ignored by the optimistic
-    reference, which has no such knob.
+    reference, which has no such knob.  ``workload`` overrides the workload
+    parameters the model sees (``None``: ``params.workload``).
     """
     if reference_family(cc) == "locking":
-        if waiting_share is not None:
-            return TAY_REFERENCE, TayThroughputModel(
-                params, waiting_share=waiting_share)
-        return TAY_REFERENCE, TayThroughputModel(params)
-    return OCC_REFERENCE, OccModel(params)
+        if waiting_share is None:
+            waiting_share = TayModel.waiting_share
+        return TAY_REFERENCE, TayThroughputModel(
+            params, workload=workload, waiting_share=waiting_share)
+    return OCC_REFERENCE, OccModel(params, workload=workload)
 
 
 def reference_optimum(params: "SystemParams",
@@ -88,7 +90,7 @@ def reference_optimum(params: "SystemParams",
     """The scheme-aware analytic optimum for one cell's configuration.
 
     Returns ``(name, optimal_mpl, peak_throughput)`` — the model name that
-    :func:`reference_model_for` would report, the multiprogramming level the
+    :func:`reference_model_for` reports, the multiprogramming level the
     model considers optimal, and the throughput at that level.  ``workload``
     overrides the workload parameters the model sees (used by cells whose
     effective workload differs from ``params.workload``: mixed-class cells
@@ -99,9 +101,6 @@ def reference_optimum(params: "SystemParams",
     to rescue" a run when its measured throughput stays far below the peak
     this function predicts for the run's own configuration.
     """
-    if reference_family(cc) == "locking":
-        name, model = TAY_REFERENCE, TayThroughputModel(params, workload=workload)
-    else:
-        name, model = OCC_REFERENCE, OccModel(params, workload=workload)
+    name, model = reference_model_for(params, cc, workload=workload)
     optimal = float(model.optimal_mpl())
     return name, optimal, float(model.throughput(optimal))

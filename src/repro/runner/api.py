@@ -42,13 +42,6 @@ class SweepResult:
         cell_count = len(self.spec.cell_ids())
         return len(self.results) // cell_count if cell_count else 0
 
-    def by_cell(self) -> Dict[str, List[CellResult]]:
-        """Results grouped by cell id, in first-appearance order."""
-        grouped: Dict[str, List[CellResult]] = {}
-        for result in self.results:
-            grouped.setdefault(result.cell_id, []).append(result)
-        return grouped
-
     def aggregate(self, cell_id: str) -> CellAggregate:
         """The aggregate of one cell (KeyError if the id is unknown)."""
         for aggregate in self.aggregates:

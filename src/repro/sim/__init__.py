@@ -14,41 +14,31 @@ kernel in the style of SimPy:
   seeded random number streams so experiments are reproducible and
   variance-reduction via common random numbers is possible.
 * :mod:`~repro.sim.stats` -- time-weighted and observation statistics,
-  batch means and confidence intervals.
+  streaming quantiles and measurement-interval sizing.
 """
 
 from repro.sim.engine import (
     Event,
     Interrupt,
     Process,
-    ProcessKilled,
     Simulator,
     Timeout,
 )
 from repro.sim.random_streams import RandomStreams
-from repro.sim.resources import Resource, Store
-from repro.sim.stats import (
-    BatchMeans,
-    ObservationStats,
-    TimeWeightedStats,
-    confidence_interval,
-)
+from repro.sim.resources import Resource
+from repro.sim.stats import ObservationStats, TimeWeightedStats
 from repro.sim.trace import TrajectoryTracer, active_tracer, install_tracer, tracing
 
 __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "ProcessKilled",
     "Simulator",
     "Timeout",
     "RandomStreams",
     "Resource",
-    "Store",
-    "BatchMeans",
     "ObservationStats",
     "TimeWeightedStats",
-    "confidence_interval",
     "TrajectoryTracer",
     "active_tracer",
     "install_tracer",

@@ -15,9 +15,9 @@ The engine follows the classic event/process design used by SimPy:
   generator at the current simulation time.  This is how the transaction
   model implements displacement (aborting an active transaction).
 
-The engine is deliberately small but complete enough to express the closed
-transaction processing model of the paper: FCFS resources, timeouts,
-interrupts and process completion events.
+The engine holds exactly what the closed transaction processing model of
+the paper needs: timeouts, processes, interrupts and one-shot events (the
+FCFS resource lives in :mod:`repro.sim.resources`).
 
 Hot-path design (the engine dominates experiment cell runtime, so the
 common paths are aggressively slimmed; the golden-trajectory harness under
@@ -42,28 +42,23 @@ common paths are aggressively slimmed; the golden-trajectory harness under
   counter also guarantees the heap never compares two :class:`Event`
   objects.  (Earlier revisions carried an unused ``priority`` field;
   ordering is by ``(time, sequence)`` only.)
-* **Fast-path construction.**  :class:`Timeout` initialises its fields
-  directly and schedules itself without going through the generic
-  ``succeed`` machinery, and process bootstrap/interrupt wake-ups use
-  pre-triggered internal events built without redundant state checks.
+* **Fast-path construction.**  :meth:`Simulator.timeout` initialises a
+  :class:`Timeout`'s fields directly and schedules it without going through
+  the generic ``succeed`` machinery, and process bootstrap/interrupt
+  wake-ups use pre-triggered internal events built without redundant state
+  checks.
 * **Inlined run loop.**  :meth:`Simulator.run` processes events with local
-  variable bindings instead of per-event method dispatch.  It must stay
-  semantically in sync with :meth:`Simulator.step` (kept for manual
-  stepping and tests).
+  variable bindings instead of per-event method dispatch.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 
 class SimulationError(RuntimeError):
     """Base class for errors raised by the simulation kernel."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to stop the event loop early."""
 
 
 class Interrupt(Exception):
@@ -77,10 +72,6 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-class ProcessKilled(Exception):
-    """Failure value used for the completion event of a killed process."""
 
 
 class Event:
@@ -191,11 +182,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        if self.callbacks and callback in self.callbacks:
-            self.callbacks.remove(callback)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6g}>"
@@ -204,28 +190,12 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed delay.
 
-    Construction is the engine's hottest allocation site, so the fields are
-    initialised directly and the event schedules itself without the generic
-    ``succeed`` checks (a fresh timeout cannot have been triggered before).
+    Built only by :meth:`Simulator.timeout`, which initialises the fields
+    directly and schedules the event without the generic ``succeed`` checks
+    (a fresh timeout cannot have been triggered before).
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        delay = float(delay)
-        self.sim = sim
-        self.callbacks = None
-        self._value = value
-        self._exception = None
-        self._triggered = True
-        self._processed = False
-        self._waiter = None
-        self.delay = delay
-        seq = sim._sequence
-        sim._sequence = seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self))
 
 
 class Process(Event):
@@ -256,10 +226,10 @@ class Process(Event):
         self._waiter = None
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         self._resume_callback = self._resume
         # Kick the process off at the current time with a pre-triggered
-        # internal event carrying this process as its direct waiter.
+        # internal event carrying this process as its direct waiter; the
+        # wake-up is the process's first target.
         sim._schedule_wakeup(self, None)
 
     # ------------------------------------------------------------------
@@ -273,72 +243,48 @@ class Process(Event):
 
         Interrupting a process that has already finished is an error; callers
         should check :attr:`is_alive` first.  The event the process is
-        currently waiting on is abandoned (it no longer resumes this
-        process).
+        currently waiting on is abandoned: the interrupt wake-up becomes the
+        process's target, and :meth:`_resume` ignores every other event.  A
+        second interrupt before the first is delivered supersedes it, and a
+        process interrupted before its bootstrap fails without running.
         """
         if self._triggered:
             raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        target = self._target
-        if target is not None:
-            if target._waiter is self:
-                target._waiter = None
-            else:
-                target.remove_callback(self._resume_callback)
-            self._target = None
         self.sim._schedule_wakeup(self, Interrupt(cause))
-
-    def kill(self, cause: Any = None) -> None:
-        """Terminate the process without running any more of its code.
-
-        Unlike :meth:`interrupt`, the generator gets no chance to handle the
-        termination; its completion event fails with :class:`ProcessKilled`.
-        Used for hard shutdown of the simulation world in tests.
-        """
-        if self._triggered:
-            return
-        target = self._target
-        if target is not None:
-            if target._waiter is self:
-                target._waiter = None
-            else:
-                target.remove_callback(self._resume_callback)
-            self._target = None
-        self.generator.close()
-        self.fail(ProcessKilled(cause))
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
-        self._target = None
-        sim = self.sim
-        sim._active_process = self
+        """Advance the generator with the outcome of ``event``.
+
+        Only the process's current target may resume it; an event the
+        process abandoned (see :meth:`interrupt`) is ignored.
+        """
+        if event is not self._target:
+            return
         try:
             if event._exception is None:
                 next_target = self.generator.send(event._value)
             else:
                 next_target = self.generator.throw(event._exception)
         except StopIteration as stop:
-            sim._active_process = None
             if not self._triggered:
                 self.succeed(stop.value)
             return
         except Interrupt as unhandled:
             # The process chose not to handle an interrupt: treat as failure.
-            sim._active_process = None
             if not self._triggered:
                 self.fail(unhandled)
             return
         except BaseException as exc:
-            sim._active_process = None
             if not self._triggered:
                 self.fail(exc)
-            if not isinstance(exc, Exception):  # re-raise KeyboardInterrupt etc.
-                raise
-            if sim.raise_process_errors:
-                raise
+            raise
+        if self._target is not event:
+            # interrupted while running: the wake-up is the target and the
+            # event just yielded is abandoned
             return
-        sim._active_process = None
 
+        sim = self.sim
         if isinstance(next_target, Event) and next_target.sim is sim:
             self._target = next_target
             if next_target._processed:
@@ -364,49 +310,11 @@ class Process(Event):
             )
         self.generator.close()
         self.fail(error)
-        if sim.raise_process_errors:
-            raise error
+        raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._triggered else "alive"
         return f"<Process {self.name!r} {state} at t={self.sim.now:.6g}>"
-
-
-class Condition(Event):
-    """An event that succeeds when all (or any) of its children succeed.
-
-    Only the two standard combinators are provided; they are sufficient for
-    the transaction model (e.g. waiting for a lock grant *or* an abort
-    signal).
-    """
-
-    __slots__ = ("events", "mode", "_pending")
-
-    ALL = "all"
-    ANY = "any"
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], mode: str):
-        super().__init__(sim)
-        self.events = list(events)
-        if mode not in (self.ALL, self.ANY):
-            raise ValueError(f"mode must be 'all' or 'any', got {mode!r}")
-        self.mode = mode
-        self._pending = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for child in self.events:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if child._exception is not None:
-            self.fail(child._exception)
-            return
-        self._pending -= 1
-        if self.mode == self.ANY or self._pending == 0:
-            self.succeed({e: e._value for e in self.events if e._triggered and e.ok})
 
 
 class Simulator:
@@ -428,26 +336,16 @@ class Simulator:
     counter carried in every heap entry (not by heap insertion accidents).
     """
 
-    def __init__(self, start_time: float = 0.0, raise_process_errors: bool = True):
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
-        #: If True (default), exceptions escaping a process propagate out of
-        #: :meth:`run`; if False they are recorded on the process completion
-        #: event only.
-        self.raise_process_errors = raise_process_errors
 
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def queue_length(self) -> int:
@@ -464,9 +362,8 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now.
 
-        This is the hottest allocation in the engine; the fields are set
-        inline (equivalent to ``Timeout(self, delay, value)`` without the
-        extra constructor frame).
+        This is the hottest allocation in the engine, so the fields are set
+        inline here rather than in a :class:`Timeout` constructor.
         """
         if delay < 0:
             raise ValueError(f"timeout delay must be non-negative, got {delay}")
@@ -488,14 +385,6 @@ class Simulator:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        """Event that succeeds when all ``events`` have succeeded."""
-        return Condition(self, events, Condition.ALL)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Event that succeeds when any of ``events`` has succeeded."""
-        return Condition(self, events, Condition.ANY)
-
     # ------------------------------------------------------------------
     # scheduling / running
     # ------------------------------------------------------------------
@@ -505,7 +394,8 @@ class Simulator:
         Used for process bootstrap (``exception=None`` sends ``None`` into
         the generator) and interrupts (the exception is thrown into it).
         The event is built directly -- it is internal, already triggered,
-        and its sole consumer is the process itself.
+        and its sole consumer is the process itself, whose target it
+        becomes.
         """
         wakeup = Event.__new__(Event)
         wakeup.sim = self
@@ -515,49 +405,10 @@ class Simulator:
         wakeup._triggered = True
         wakeup._processed = False
         wakeup._waiter = process
+        process._target = wakeup
         seq = self._sequence
         self._sequence = seq + 1
         heappush(self._queue, (self._now, seq, wakeup))
-
-    def call_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` (a zero-argument callable) at absolute ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule a callback in the past ({time} < {self._now})")
-        marker = Timeout(self, time - self._now)
-        marker.add_callback(lambda _event: callback())
-        return marker
-
-    def call_in(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` ``delay`` time units from now."""
-        return self.call_at(self._now + delay, callback)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Kept for manual stepping and tests; :meth:`run` inlines the same
-        logic for speed -- the two must stay semantically identical.
-        """
-        if not self._queue:
-            raise SimulationError("cannot step an empty event queue")
-        time, _seq, event = heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("event scheduled in the past; queue corrupted")
-        if time > self._now:
-            self._now = time
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        if callbacks is not None:
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation.
@@ -578,35 +429,27 @@ class Simulator:
         pop = heappop
         limit = float("inf") if until is None else until
         now = self._now
-        try:
-            # inlined event loop (see step(): same semantics, local bindings)
-            while queue:
-                entry = pop(queue)
-                time = entry[0]
-                if time > limit:
-                    heappush(queue, entry)
-                    break
-                if time > now:
-                    self._now = now = time
-                elif time < now - 1e-12:
-                    raise SimulationError("event scheduled in the past; queue corrupted")
-                event = entry[2]
-                event._processed = True
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter._resume(event)
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-        except StopSimulation:
-            pass
+        while queue:
+            entry = pop(queue)
+            time = entry[0]
+            if time > limit:
+                heappush(queue, entry)
+                break
+            if time > now:
+                self._now = now = time
+            elif time < now - 1e-12:
+                raise SimulationError("event scheduled in the past; queue corrupted")
+            event = entry[2]
+            event._processed = True
+            waiter = event._waiter
+            if waiter is not None:
+                event._waiter = None
+                waiter._resume(event)
+            callbacks = event.callbacks
+            if callbacks is not None:
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
         if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event (usable from callbacks)."""
-        raise StopSimulation()

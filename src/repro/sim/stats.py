@@ -12,10 +12,6 @@ confidence level.  The classes here provide the required building blocks:
 * :class:`P2Quantile` -- deterministic streaming quantile estimation (the
   P-squared algorithm of Jain & Chlamtac), used for the p95/p99 SLO
   metrics of open-system runs.
-* :class:`BatchMeans` -- the classic batch-means method for confidence
-  intervals on steady-state means from a single run.
-* :func:`confidence_interval` -- half-width of a t/normal confidence
-  interval.
 * :func:`required_observations` -- how many observations are needed for a
   target relative accuracy, the quantity Heiss (1988) uses to size the
   measurement interval ("rather hundreds of departures than some tens").
@@ -24,57 +20,8 @@ confidence level.  The classes here provide the required building blocks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-
-def _student_t_quantile(probability: float, dof: int) -> float:
-    """Two-sided Student-t quantile, falling back to the normal for large dof.
-
-    SciPy is an optional dependency of the core library; when it is present
-    the exact quantile is used, otherwise the Cornish-Fisher style expansion
-    of the normal quantile is applied, which is accurate to ~1e-3 for the
-    degrees of freedom encountered in practice (>= 5).
-    """
-    if dof <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    try:  # pragma: no cover - exercised when scipy is installed
-        from scipy import stats as _scipy_stats
-
-        return float(_scipy_stats.t.ppf(probability, dof))
-    except ImportError:  # pragma: no cover - fallback path
-        z = _normal_quantile(probability)
-        g1 = (z**3 + z) / 4.0
-        g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
-        g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
-        return z + g1 / dof + g2 / dof**2 + g3 / dof**3
-
-
-def _normal_quantile(probability: float) -> float:
-    """Acklam's rational approximation of the standard normal quantile."""
-    if not 0.0 < probability < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {probability}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if probability < p_low:
-        q = math.sqrt(-2 * math.log(probability))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if probability <= 1 - p_low:
-        q = probability - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - probability))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+from statistics import NormalDist
+from typing import List, Optional
 
 
 class ObservationStats:
@@ -110,27 +57,6 @@ class ObservationStats:
             self._minimum = value
         if value > self._maximum:
             self._maximum = value
-
-    def merge(self, other: "ObservationStats") -> None:
-        """Fold another accumulator into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._minimum = other._minimum
-            self._maximum = other._maximum
-            self._total = other._total
-            return
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
-        self._mean = (self.count * self._mean + other.count * other._mean) / combined
-        self.count = combined
-        self._total += other._total
-        self._minimum = min(self._minimum, other._minimum)
-        self._maximum = max(self._maximum, other._maximum)
 
     @property
     def mean(self) -> float:
@@ -358,62 +284,6 @@ class P2Quantile:
         return f"P2Quantile(p={self.probability}, n={self.count}, value={self.value:.4g})"
 
 
-@dataclass
-class BatchMeans:
-    """Batch-means estimator for steady-state means from one long run.
-
-    Observations are grouped into batches of ``batch_size``; the batch means
-    are treated as (approximately) independent samples, which gives a
-    defensible confidence interval without independent replications.
-    """
-
-    batch_size: int
-    _current: ObservationStats = field(default_factory=ObservationStats)
-    _batch_means: List[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def add(self, value: float) -> None:
-        """Record one observation, closing a batch when it fills up."""
-        self._current.add(value)
-        if self._current.count >= self.batch_size:
-            self._batch_means.append(self._current.mean)
-            self._current = ObservationStats()
-
-    @property
-    def batch_count(self) -> int:
-        """Number of completed batches."""
-        return len(self._batch_means)
-
-    @property
-    def mean(self) -> float:
-        """Grand mean over completed batches."""
-        if not self._batch_means:
-            return self._current.mean
-        return sum(self._batch_means) / len(self._batch_means)
-
-    def half_width(self, confidence: float = 0.95) -> float:
-        """Half-width of the confidence interval on the grand mean."""
-        if len(self._batch_means) < 2:
-            return math.inf
-        return confidence_interval(self._batch_means, confidence)
-
-
-def confidence_interval(samples: Sequence[float], confidence: float = 0.95) -> float:
-    """Half-width of the two-sided t confidence interval for the mean."""
-    n = len(samples)
-    if n < 2:
-        return math.inf
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    mean = sum(samples) / n
-    variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
-    quantile = _student_t_quantile(0.5 + confidence / 2.0, n - 1)
-    return quantile * math.sqrt(variance / n)
-
-
 def required_observations(coefficient_of_variation: float,
                           relative_accuracy: float,
                           confidence: float = 0.95) -> int:
@@ -433,6 +303,6 @@ def required_observations(coefficient_of_variation: float,
         raise ValueError("relative accuracy must be positive")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = _normal_quantile(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     needed = (z * coefficient_of_variation / relative_accuracy) ** 2
     return max(1, int(math.ceil(needed)))

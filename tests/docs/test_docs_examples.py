@@ -9,6 +9,7 @@ reader would run them top to bottom).  A doc drifting from the code fails
 CI with the offending block's source in the traceback.
 """
 
+import gc
 import importlib.util
 import re
 import sys
@@ -45,11 +46,21 @@ def test_every_docs_page_is_discovered():
 
 @pytest.mark.parametrize("page", DOC_PAGES, ids=lambda page: page.name)
 def test_docs_examples_execute(page):
-    """Run the page's blocks top to bottom in one shared namespace."""
+    """Run the page's blocks top to bottom in one shared namespace.
+
+    The pages' simulations leave suspended process generators in reference
+    cycles.  Collecting them runs their ``finally`` blocks (a CPU request's
+    ``cancel()`` releases the resource), so the namespace is cleared and
+    collected here rather than inside whatever test runs next.
+    """
     namespace = {"__name__": f"docs_example_{page.stem}"}
-    for line, source in python_blocks(page):
-        code = compile(source, f"{page.name}:{line}", "exec")
-        exec(code, namespace)  # noqa: S102 - executing our own docs is the point
+    try:
+        for line, source in python_blocks(page):
+            code = compile(source, f"{page.name}:{line}", "exec")
+            exec(code, namespace)  # noqa: S102 - executing our own docs is the point
+    finally:
+        namespace.clear()
+        gc.collect()
 
 
 # ----------------------------------------------------------------------

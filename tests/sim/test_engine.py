@@ -3,14 +3,16 @@
 import pytest
 
 from repro.sim.engine import (
-    Event,
     Interrupt,
     Process,
-    ProcessKilled,
     SimulationError,
     Simulator,
-    Timeout,
 )
+
+
+def after(sim, delay, action):
+    """Run ``action()`` when a timeout ``delay`` from now is processed."""
+    sim.timeout(delay).add_callback(lambda _event: action())
 
 
 class TestSimulatorBasics:
@@ -18,67 +20,68 @@ class TestSimulatorBasics:
         sim = Simulator()
         assert sim.now == 0.0
 
-    def test_clock_starts_at_custom_time(self):
-        sim = Simulator(start_time=42.0)
-        assert sim.now == 42.0
-
     def test_run_until_advances_clock_without_events(self):
         sim = Simulator()
         sim.run(until=10.0)
         assert sim.now == 10.0
 
     def test_run_until_in_the_past_raises(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run(until=5.0)
         with pytest.raises(ValueError):
             sim.run(until=1.0)
-
-    def test_step_on_empty_queue_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.step()
-
-    def test_peek_empty_queue_is_infinite(self):
-        sim = Simulator()
-        assert sim.peek() == float("inf")
 
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(3.0, lambda: order.append("late"))
-        sim.call_in(1.0, lambda: order.append("early"))
-        sim.call_in(2.0, lambda: order.append("middle"))
+        after(sim, 3.0, lambda: order.append("late"))
+        after(sim, 1.0, lambda: order.append("early"))
+        after(sim, 2.0, lambda: order.append("middle"))
         sim.run(until=5.0)
         assert order == ["early", "middle", "late"]
 
     def test_same_time_events_run_in_schedule_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(1.0, lambda: order.append("first"))
-        sim.call_in(1.0, lambda: order.append("second"))
+        after(sim, 1.0, lambda: order.append("first"))
+        after(sim, 1.0, lambda: order.append("second"))
         sim.run(until=2.0)
         assert order == ["first", "second"]
 
     def test_run_stops_exactly_at_until(self):
         sim = Simulator()
         fired = []
-        sim.call_in(10.0, lambda: fired.append(True))
+        after(sim, 10.0, lambda: fired.append(True))
         sim.run(until=5.0)
         assert sim.now == 5.0
         assert not fired
         sim.run(until=20.0)
         assert fired
 
-    def test_call_at_in_the_past_raises(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(ValueError):
-            sim.call_at(5.0, lambda: None)
+    def test_simulator_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            Simulator(5.0)
 
-    def test_stop_halts_the_run_loop(self):
+    def test_run_returns_the_stop_time(self):
         sim = Simulator()
-        sim.call_in(1.0, sim.stop)
-        sim.call_in(2.0, lambda: pytest.fail("event after stop should not run"))
-        sim.run(until=10.0)
-        assert sim.now == pytest.approx(10.0)
+        assert sim.run(until=7.5) == 7.5
+        assert sim.run(until=9.0) == 9.0
+
+    def test_run_without_until_drains_the_queue(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.timeout(4.0)
+        assert sim.run() == 4.0
+        assert sim.queue_length == 0
+
+    def test_queue_length_counts_triggered_events_only(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.event()  # pending: not on the queue
+        sim.event().succeed()
+        assert sim.queue_length == 2
+        sim.run(until=0.0)
+        assert sim.queue_length == 1
 
 
 class TestEvent:
@@ -132,7 +135,7 @@ class TestEvent:
     def test_timeout_negative_delay_raises(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            Timeout(sim, -1.0)
+            sim.timeout(-1.0)
 
     def test_timeout_fires_at_the_right_time(self):
         sim = Simulator()
@@ -141,6 +144,83 @@ class TestEvent:
         timeout.add_callback(lambda _e: times.append(sim.now))
         sim.run(until=5.0)
         assert times == [pytest.approx(2.5)]
+
+    def test_trigger_after_fail_raises(self):
+        sim = Simulator()
+        event = sim.event()
+        event.fail(RuntimeError("first"))
+        with pytest.raises(SimulationError):
+            event.succeed()
+        with pytest.raises(SimulationError):
+            event.fail(RuntimeError("second"))
+
+    def test_states_progress_from_pending_to_processed(self):
+        sim = Simulator()
+        event = sim.event()
+        assert (event.triggered, event.processed) == (False, False)
+        event.succeed()
+        assert (event.triggered, event.processed) == (True, False)
+        sim.run(until=0.0)
+        assert (event.triggered, event.processed) == (True, True)
+
+    def test_callbacks_run_in_registration_order(self):
+        sim = Simulator()
+        event = sim.event()
+        order = []
+        for name in ("a", "b", "c"):
+            event.add_callback(lambda _e, n=name: order.append(n))
+        event.succeed()
+        sim.run(until=0.0)
+        assert order == ["a", "b", "c"]
+        assert event.callbacks is None
+
+    def test_callback_registered_before_a_waiter_runs_first(self):
+        sim = Simulator()
+        event = sim.event()
+        order = []
+        event.add_callback(lambda _e: order.append("callback"))
+
+        def waiter():
+            yield event
+            order.append("process")
+
+        sim.process(waiter())
+        after(sim, 1.0, event.succeed)
+        sim.run(until=2.0)
+        assert order == ["callback", "process"]
+
+    def test_waiter_registered_before_a_callback_runs_first(self):
+        sim = Simulator()
+        event = sim.event()
+        order = []
+
+        def waiter():
+            yield event
+            order.append("process")
+
+        sim.process(waiter())
+        sim.run(until=0.5)  # bootstrap: the process now waits on the event
+        event.add_callback(lambda _e: order.append("callback"))
+        after(sim, 1.0, event.succeed)
+        sim.run(until=2.0)
+        assert order == ["process", "callback"]
+
+    def test_timeout_records_its_delay_and_value(self):
+        sim = Simulator()
+        timeout = sim.timeout(2, value="payload")
+        assert timeout.delay == 2.0
+        assert isinstance(timeout.delay, float)
+        assert timeout.triggered and not timeout.processed
+        sim.run(until=3.0)
+        assert timeout.value == "payload"
+
+    def test_zero_delay_timeout_fires_at_the_current_time(self):
+        sim = Simulator()
+        sim.run(until=3.0)
+        times = []
+        sim.timeout(0.0).add_callback(lambda _e: times.append(sim.now))
+        sim.run(until=4.0)
+        assert times == [3.0]
 
 
 class TestProcess:
@@ -196,47 +276,39 @@ class TestProcess:
         assert parent_process.value == 14
 
     def test_yielding_non_event_fails_process(self):
-        sim = Simulator(raise_process_errors=False)
+        sim = Simulator()
 
         def bad():
             yield 42
 
         process = sim.process(bad())
-        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
         assert not process.is_alive
         assert isinstance(process.exception, SimulationError)
 
     def test_yielding_foreign_event_fails_process(self):
-        sim = Simulator(raise_process_errors=False)
+        sim = Simulator()
         other = Simulator()
 
         def bad():
             yield other.timeout(1.0)
 
         process = sim.process(bad())
-        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
         assert isinstance(process.exception, SimulationError)
 
-    def test_exception_in_process_propagates_by_default(self):
+    def test_exception_in_process_propagates_and_is_recorded(self):
         sim = Simulator()
 
         def bad():
             yield sim.timeout(1.0)
             raise ValueError("inner failure")
 
-        sim.process(bad())
+        process = sim.process(bad())
         with pytest.raises(ValueError, match="inner failure"):
             sim.run(until=2.0)
-
-    def test_exception_recorded_when_errors_suppressed(self):
-        sim = Simulator(raise_process_errors=False)
-
-        def bad():
-            yield sim.timeout(1.0)
-            raise ValueError("inner failure")
-
-        process = sim.process(bad())
-        sim.run(until=2.0)
         assert isinstance(process.exception, ValueError)
 
     def test_failed_event_is_thrown_into_process(self):
@@ -251,9 +323,52 @@ class TestProcess:
                 caught.append(str(error))
 
         sim.process(worker())
-        sim.call_in(1.0, lambda: trigger.fail(RuntimeError("failed event")))
+        after(sim, 1.0, lambda: trigger.fail(RuntimeError("failed event")))
         sim.run(until=2.0)
         assert caught == ["failed event"]
+
+    def test_process_name_defaults_to_the_generator_function(self):
+        sim = Simulator()
+
+        def worker():
+            yield sim.timeout(1.0)
+
+        assert sim.process(worker()).name == "worker"
+        assert sim.process(worker(), name="custom").name == "custom"
+
+    def test_yielding_a_processed_event_resumes_immediately(self):
+        sim = Simulator()
+        done = sim.event()
+        done.succeed("ready")
+        sim.run(until=1.0)
+        seen = []
+
+        def late():
+            value = yield done
+            seen.append((value, sim.now))
+
+        sim.process(late())
+        sim.run(until=2.0)
+        assert seen == [("ready", 1.0)]
+
+    def test_failed_child_is_thrown_into_its_parent(self):
+        sim = Simulator()
+        caught = []
+
+        def child():
+            yield sim.timeout(10.0)
+
+        def parent():
+            try:
+                yield child_process
+            except Interrupt as interrupt:
+                caught.append((interrupt.cause, sim.now))
+
+        child_process = sim.process(child())
+        sim.process(parent())
+        after(sim, 2.0, lambda: child_process.interrupt("child stopped"))
+        sim.run(until=5.0)
+        assert caught == [("child stopped", 2.0)]
 
 
 class TestInterrupt:
@@ -268,7 +383,7 @@ class TestInterrupt:
                 causes.append(interrupt.cause)
 
         process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.interrupt("wake up"))
+        after(sim, 1.0, lambda: process.interrupt("wake up"))
         sim.run(until=5.0)
         assert causes == ["wake up"]
         assert sim.now == 5.0
@@ -291,7 +406,7 @@ class TestInterrupt:
             yield sim.timeout(100.0)
 
         process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.interrupt("no handler"))
+        after(sim, 1.0, lambda: process.interrupt("no handler"))
         sim.run(until=5.0)
         assert not process.is_alive
         assert isinstance(process.exception, Interrupt)
@@ -309,64 +424,147 @@ class TestInterrupt:
             log.append(("resumed", sim.now))
 
         process = sim.process(sleeper())
-        sim.call_in(3.0, lambda: process.interrupt())
+        after(sim, 3.0, lambda: process.interrupt())
         sim.run(until=10.0)
         assert log == [("interrupted", 3.0), ("resumed", 5.0)]
 
-    def test_kill_terminates_without_running_more_code(self):
-        sim = Simulator(raise_process_errors=False)
-        log = []
+    def test_interrupt_abandons_an_event_shared_through_callbacks(self):
+        """An interrupted process is never resumed by the event it abandoned.
+
+        A and B wait on one event through its callback list; A, resumed
+        first, interrupts B.  B must see only the interrupt, at t=1, and
+        its next wait must resume it normally.
+        """
+        sim = Simulator()
+        shared = sim.timeout(1.0)
+        shared.add_callback(lambda _event: None)  # waiters join the callback list
+        seen = []
+
+        def a():
+            yield shared
+            b_process.interrupt("stop")
+
+        def b():
+            try:
+                value = yield shared
+                seen.append(("value", value, sim.now))
+            except Interrupt as interrupt:
+                seen.append(("interrupt", interrupt.cause, sim.now))
+            yield sim.timeout(1.0)
+            seen.append(("after", sim.now))
+
+        sim.process(a())
+        b_process = sim.process(b())
+        sim.run(until=5.0)
+        assert seen == [("interrupt", "stop", 1.0), ("after", 2.0)]
+
+    def test_self_interrupt_abandons_the_next_wait(self):
+        sim = Simulator()
+        seen = []
+
+        def worker():
+            me.interrupt("self")
+            try:
+                yield sim.timeout(3.0)
+                seen.append(("slept", sim.now))
+            except Interrupt as interrupt:
+                seen.append(("interrupt", interrupt.cause, sim.now))
+            yield sim.timeout(1.0)
+            seen.append(("after", sim.now))
+
+        me = sim.process(worker())
+        sim.run(until=10.0)
+        assert seen == [("interrupt", "self", 0.0), ("after", 1.0)]
+
+    def test_later_interrupt_supersedes_an_undelivered_one(self):
+        sim = Simulator()
+        causes = []
 
         def sleeper():
             try:
                 yield sim.timeout(100.0)
-            finally:
-                log.append("cleanup")
+            except Interrupt as interrupt:
+                causes.append(interrupt.cause)
+            yield sim.timeout(1.0)
 
         process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.kill("shutdown"))
+        after(sim, 1.0, lambda: (process.interrupt("first"), process.interrupt("second")))
         sim.run(until=5.0)
+        assert causes == ["second"]
         assert not process.is_alive
-        assert isinstance(process.exception, ProcessKilled)
-        assert log == ["cleanup"]
 
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self):
+    def test_interrupt_before_bootstrap_fails_without_running(self):
         sim = Simulator()
-        done_times = []
+        ran = []
 
-        def waiter():
-            yield sim.all_of([sim.timeout(1.0), sim.timeout(4.0), sim.timeout(2.0)])
-            done_times.append(sim.now)
+        def worker():
+            ran.append(sim.now)
+            yield sim.timeout(1.0)
 
-        sim.process(waiter())
+        process = sim.process(worker())
+        process.interrupt("too early")
+        sim.run(until=5.0)
+        assert ran == []
+        assert isinstance(process.exception, Interrupt)
+
+    def test_interrupt_cause_defaults_to_none(self):
+        sim = Simulator()
+        causes = []
+
+        def sleeper():
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt as interrupt:
+                causes.append(interrupt.cause)
+
+        process = sim.process(sleeper())
+        after(sim, 1.0, process.interrupt)
+        sim.run(until=2.0)
+        assert causes == [None]
+
+    def test_abandoned_timeout_still_runs_its_callbacks(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper():
+            nap = sim.timeout(5.0)
+            nap.add_callback(lambda _e: log.append(("callback", sim.now)))
+            try:
+                yield nap
+                log.append(("woke", sim.now))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            yield sim.timeout(10.0)
+            log.append(("after", sim.now))
+
+        process = sim.process(sleeper())
+        after(sim, 1.0, process.interrupt)
+        sim.run(until=20.0)
+        assert log == [("interrupted", 1.0), ("callback", 5.0), ("after", 11.0)]
+
+    def test_interrupting_a_parent_leaves_its_child_running(self):
+        sim = Simulator()
+        log = []
+
+        def child():
+            yield sim.timeout(4.0)
+            log.append(("child done", sim.now))
+            return "result"
+
+        def parent():
+            try:
+                yield child_process
+            except Interrupt:
+                log.append(("parent interrupted", sim.now))
+            value = yield child_process
+            log.append(("parent got", value, sim.now))
+
+        child_process = sim.process(child())
+        parent_process = sim.process(parent())
+        after(sim, 1.0, parent_process.interrupt)
         sim.run(until=10.0)
-        assert done_times == [4.0]
-
-    def test_any_of_fires_on_first_event(self):
-        sim = Simulator()
-        done_times = []
-
-        def waiter():
-            yield sim.any_of([sim.timeout(5.0), sim.timeout(1.5)])
-            done_times.append(sim.now)
-
-        sim.process(waiter())
-        sim.run(until=10.0)
-        assert done_times == [1.5]
-
-    def test_all_of_empty_list_succeeds_immediately(self):
-        sim = Simulator()
-        done = []
-
-        def waiter():
-            yield sim.all_of([])
-            done.append(sim.now)
-
-        sim.process(waiter())
-        sim.run(until=1.0)
-        assert done == [0.0]
+        assert log == [("parent interrupted", 1.0), ("child done", 4.0),
+                       ("parent got", "result", 4.0)]
 
 
 class TestTieBreakContract:
@@ -431,7 +629,7 @@ class TestTieBreakContract:
         fired = []
         # build a deliberately adversarial creation order for the heap
         for index, delay in enumerate([5.0, 1.0, 5.0, 3.0, 5.0, 1.0, 5.0]):
-            sim.call_in(delay, lambda i=index, d=delay: fired.append((d, i)))
+            after(sim, delay, lambda i=index, d=delay: fired.append((d, i)))
         sim.run(until=10.0)
         assert fired == [(1.0, 1), (1.0, 5), (3.0, 3),
                          (5.0, 0), (5.0, 2), (5.0, 4), (5.0, 6)]

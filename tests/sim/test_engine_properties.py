@@ -17,9 +17,10 @@ Invariants covered:
 * **equal-timestamp FIFO** -- events scheduled at the same simulation time
   are processed strictly in scheduling order (the documented sequence
   counter tie-break contract);
-* **interrupt / kill semantics** -- interrupts arrive exactly at the
-  interrupt time with their cause, unhandled interrupts fail the process,
-  kills run no further process code but do run ``finally`` blocks;
+* **interrupt semantics** -- interrupts arrive exactly at the interrupt
+  time with their cause, unhandled interrupts fail the process after
+  running its ``finally`` blocks, and an abandoned event never resumes the
+  interrupted process;
 * **resource grant conservation** -- an FCFS resource never over-grants,
   never leaks slots through cancels or interrupts, and serves
   non-cancelled waiters in strict FCFS order;
@@ -32,10 +33,19 @@ import random
 
 import pytest
 
-from repro.sim.engine import Interrupt, ProcessKilled, Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.resources import Resource
 
 SEEDS = [1, 7, 42, 1991]
+
+
+def at(sim, time, action):
+    """Run ``action()`` at absolute ``time`` from a helper process."""
+    def helper():
+        yield sim.timeout(time - sim.now)
+        action()
+
+    sim.process(helper())
 
 
 # ----------------------------------------------------------------------
@@ -56,9 +66,9 @@ def test_clock_is_monotone_under_random_schedules(seed):
         naps = [rng.choice([0.0, 0.125, 0.25, 1.0, rng.random()])
                 for _ in range(rng.randint(1, 30))]
         sim.process(sleeper(naps))
-    # sprinkle immediate events and absolute-time callbacks between them
+    # sprinkle absolute-time actions between them
     for _ in range(50):
-        sim.call_at(rng.random() * 20.0, lambda: observed.append(sim.now))
+        at(sim, rng.random() * 20.0, lambda: observed.append(sim.now))
     sim.run(until=60.0)
 
     assert observed, "the random schedule must produce observations"
@@ -71,7 +81,7 @@ def test_clock_is_monotone_under_random_schedules(seed):
 def test_equal_timestamp_events_fire_in_schedule_order(seed):
     """The tie-break contract: same time => strict scheduling order.
 
-    Schedules many callbacks onto a handful of *identical* timestamps in
+    Schedules many actions onto a handful of *identical* timestamps in
     random creation order and checks that, per timestamp, execution order
     equals creation order.
     """
@@ -84,7 +94,7 @@ def test_equal_timestamp_events_fire_in_schedule_order(seed):
     for index in range(200):
         time = rng.choice(times)
         scheduled.append((time, index))
-        sim.call_at(time, lambda t=time, i=index: fired.append((t, i)))
+        at(sim, time, lambda t=time, i=index: fired.append((t, i)))
     sim.run(until=10.0)
 
     assert len(fired) == len(scheduled)
@@ -114,7 +124,7 @@ def test_equal_timestamp_process_wakeups_are_fifo(seed):
 
 
 # ----------------------------------------------------------------------
-# interrupt / kill semantics
+# interrupt semantics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_interrupts_arrive_on_time_with_their_cause(seed):
@@ -133,25 +143,25 @@ def test_interrupts_arrive_on_time_with_their_cause(seed):
     interrupt_times = {}
     for index, process in processes.items():
         if rng.random() < 0.7:
-            at = round(rng.uniform(0.1, 50.0), 6)
-            interrupt_times[index] = at
-            sim.call_at(at, lambda p=process, i=index: p.interrupt(f"cause-{i}"))
+            when = round(rng.uniform(0.1, 50.0), 6)
+            interrupt_times[index] = when
+            at(sim, when, lambda p=process, i=index: p.interrupt(f"cause-{i}"))
     sim.run(until=200.0)
 
     for index in processes:
         if index in interrupt_times:
-            kind, at, cause = outcomes[index]
+            kind, when, cause = outcomes[index]
             assert kind == "interrupted"
-            assert at == interrupt_times[index], "interrupt must arrive at its scheduled time"
+            assert when == interrupt_times[index], "interrupt must arrive at its scheduled time"
             assert cause == f"cause-{index}"
         else:
             assert outcomes[index] == ("slept", 100.0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_unhandled_interrupt_and_kill_terminate_processes(seed):
+def test_unhandled_interrupt_terminates_processes(seed):
     rng = random.Random(seed)
-    sim = Simulator(raise_process_errors=False)
+    sim = Simulator()
     cleanups = []
 
     def stubborn(index):
@@ -161,21 +171,14 @@ def test_unhandled_interrupt_and_kill_terminate_processes(seed):
             cleanups.append(index)
 
     processes = {index: sim.process(stubborn(index)) for index in range(20)}
-    fate = {}
-    for index, process in processes.items():
-        at = round(rng.uniform(0.1, 20.0), 6)
-        if rng.random() < 0.5:
-            fate[index] = Interrupt
-            sim.call_at(at, process.interrupt)
-        else:
-            fate[index] = ProcessKilled
-            sim.call_at(at, process.kill)
+    for process in processes.values():
+        at(sim, round(rng.uniform(0.1, 20.0), 6), process.interrupt)
     sim.run(until=200.0)
 
     assert sorted(cleanups) == sorted(processes), "finally blocks must always run"
-    for index, process in processes.items():
+    for process in processes.values():
         assert not process.is_alive
-        assert isinstance(process.exception, fate[index])
+        assert isinstance(process.exception, Interrupt)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -200,9 +203,9 @@ def test_interrupted_process_abandons_its_target(seed):
         process = sim.process(waiter(index, trigger))
         interrupt_at = round(rng.uniform(1.0, 5.0), 6)
         trigger_at = interrupt_at + rng.uniform(0.5, 2.0)
-        sim.call_at(interrupt_at, lambda p=process: p.interrupt())
+        at(sim, interrupt_at, lambda p=process: p.interrupt())
         # the abandoned event still triggers afterwards -- it must be inert
-        sim.call_at(trigger_at, lambda t=trigger: t.succeed("late"))
+        at(sim, trigger_at, lambda t=trigger: t.succeed("late"))
     sim.run(until=100.0)
 
     kinds = [kind for kind, _i, _t in resumes]
@@ -210,6 +213,56 @@ def test_interrupted_process_abandons_its_target(seed):
     assert kinds.count("interrupt") == 15
     assert kinds.count("later") == 15
 
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_waiters_of_shared_events_see_each_round_exactly_once(seed):
+    """Processes sharing events through callback lists, interrupting each other.
+
+    Every member waits on the same round events in turn; a member resumed
+    by a round may interrupt another.  Each member must account for every
+    round exactly once -- as a value delivered at the round's own time, or
+    as an interrupt that abandoned it -- and never both.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    rounds = 12
+    shared = {r: sim.timeout(float(r), value=r) for r in range(1, rounds + 1)}
+    logs = {}
+    members = []
+
+    def member(index):
+        log = logs[index] = []
+        r = 1
+        while r <= rounds:
+            try:
+                value = yield shared[r]
+            except Interrupt as interrupt:
+                log.append(("interrupt", r, sim.now, interrupt.cause))
+            else:
+                log.append(("value", value, sim.now))
+                if rng.random() < 0.3:
+                    victim = rng.choice([m for m in members if m is not members[index]])
+                    if victim.is_alive:
+                        victim.interrupt(("round", value))
+            r += 1
+
+    members.extend(sim.process(member(index)) for index in range(8))
+    sim.run(until=rounds + 1.0)
+
+    interrupts = 0
+    for index, log in logs.items():
+        assert not members[index].is_alive
+        assert [entry[1] for entry in log] == list(range(1, rounds + 1))
+        for entry in log:
+            if entry[0] == "value":
+                _kind, value, when = entry
+                assert when == float(value), "a round's value arrives at its time"
+            else:
+                _kind, abandoned, when, cause = entry
+                interrupts += 1
+                assert cause[1] == when <= abandoned
+    assert interrupts > 0, "the schedule must exercise interrupts"
 
 # ----------------------------------------------------------------------
 # resource grant conservation
@@ -248,19 +301,18 @@ def test_resource_conservation_under_random_workload(seed, capacity):
     # random interrupts fired into the crowd while it queues
     for _ in range(20):
         victim = rng.choice(workers)
-        at = rng.uniform(0.0, 15.0)
-        sim.call_at(at, lambda p=victim: p.interrupt() if p.is_alive else None)
+        at(sim, rng.uniform(0.0, 15.0), lambda p=victim: p.interrupt() if p.is_alive else None)
     sim.run(until=1000.0)
 
     assert len(finished) == 30, "every worker must run to completion"
     # conservation: nothing may remain held or queued at the end, and every
-    # request was either granted at some point or cancelled while waiting
+    # request was either granted at some point (a grant triggers it) or
+    # cancelled while waiting (never triggered)
     assert resource.in_use == 0
     assert resource.queue_length == 0
-    assert resource.total_requests == len(all_requests)
-    granted = sum(1 for request in all_requests if request.granted_at is not None)
+    granted = sum(1 for request in all_requests if request.triggered)
     cancelled_waiting = sum(1 for request in all_requests
-                            if request.cancelled and request.granted_at is None)
+                            if request.cancelled and not request.triggered)
     assert granted + cancelled_waiting == len(all_requests)
     assert not any(request.granted for request in all_requests), "leaked slot"
 

@@ -1,9 +1,18 @@
-"""Tests for FCFS resources and stores."""
+"""Tests for the FCFS resource."""
 
 import pytest
 
 from repro.sim.engine import Interrupt, SimulationError, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
+
+
+def at(sim, time, action):
+    """Run ``action()`` at absolute ``time`` from a helper process."""
+    def helper():
+        yield sim.timeout(time - sim.now)
+        action()
+
+    sim.process(helper())
 
 
 class TestResourceBasics:
@@ -78,6 +87,48 @@ class TestResourceBasics:
         holder.cancel()
         assert resource.in_use == 0
 
+    def test_release_of_a_foreign_request_raises(self):
+        sim = Simulator()
+        first = Resource(sim, capacity=1, name="first")
+        second = Resource(sim, capacity=1, name="second")
+        request = first.request()
+        with pytest.raises(SimulationError):
+            second.release(request)
+        assert first.in_use == 1
+
+    def test_cancel_after_release_is_noop(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        request = resource.request()
+        resource.release(request)
+        request.cancel()
+        assert resource.in_use == 0
+        assert resource.queue_length == 0
+
+    def test_queue_length_excludes_cancelled_waiters(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        holder = resource.request()
+        waiters = [resource.request() for _ in range(3)]
+        waiters[1].cancel()
+        assert resource.queue_length == 2
+        resource.release(holder)
+        assert [w.granted for w in waiters] == [True, False, False]
+        resource.release(waiters[0])
+        assert [w.granted for w in waiters] == [False, False, True]
+        assert resource.queue_length == 0
+
+    def test_cancelled_waiter_is_never_triggered(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        holder = resource.request()
+        waiter = resource.request()
+        waiter.cancel()
+        resource.release(holder)
+        sim.run(until=1.0)
+        assert waiter.cancelled and not waiter.triggered
+        assert resource.in_use == 0
+
 
 class TestResourceInProcesses:
     def test_serialised_use_with_single_server(self):
@@ -139,7 +190,7 @@ class TestResourceInProcesses:
 
         sim.process(holder())
         impatient_process = sim.process(impatient())
-        sim.call_in(2.0, lambda: impatient_process.interrupt())
+        at(sim, 2.0, lambda: impatient_process.interrupt())
         sim.run(until=20.0)
         assert outcomes == ["gave up"]
         assert resource.queue_length == 0
@@ -159,22 +210,6 @@ class TestResourceInProcesses:
         sim.process(worker())
         sim.run(until=8.0)
         assert resource.utilisation() == pytest.approx(0.5)
-
-    def test_mean_queue_length(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def worker():
-            request = resource.request()
-            yield request
-            yield sim.timeout(5.0)
-            resource.release(request)
-
-        sim.process(worker())
-        sim.process(worker())
-        sim.run(until=10.0)
-        # one worker queued for the first five seconds of a ten second run
-        assert resource.mean_queue_length() == pytest.approx(0.5)
 
     def test_reset_statistics(self):
         sim = Simulator()
@@ -216,90 +251,40 @@ class TestResourceInProcesses:
         resource.reset_statistics()
         sim.run(until=8.0)
         assert resource.utilisation() == pytest.approx(1.0)
-        assert resource.mean_queue_length() == pytest.approx(0.0)
 
-    def test_total_wait_time_accumulates(self):
+    def test_granted_request_is_the_event_value(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
+        seen = []
 
         def worker():
             request = resource.request()
-            yield request
-            yield sim.timeout(3.0)
+            value = yield request
+            seen.append(value is request)
             resource.release(request)
 
         sim.process(worker())
-        sim.process(worker())
+        sim.run(until=1.0)
+        assert seen == [True]
+
+    def test_utilisation_of_multiple_servers(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=2)
+
+        def worker(hold):
+            request = resource.request()
+            yield request
+            yield sim.timeout(hold)
+            resource.release(request)
+
+        sim.process(worker(10.0))
+        sim.process(worker(5.0))
         sim.run(until=10.0)
-        assert resource.total_requests == 2
-        assert resource.total_wait_time == pytest.approx(3.0)
+        # 15 server-time units out of 2 servers x 10 time units
+        assert resource.utilisation() == pytest.approx(0.75)
 
-
-class TestStore:
-    def test_put_then_get(self):
+    def test_utilisation_before_time_passes_is_zero(self):
         sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-        received = []
-
-        def getter():
-            value = yield store.get()
-            received.append(value)
-
-        sim.process(getter())
-        sim.run(until=1.0)
-        assert received == ["item"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def getter():
-            value = yield store.get()
-            received.append((value, sim.now))
-
-        sim.process(getter())
-        sim.call_in(3.0, lambda: store.put("late item"))
-        sim.run(until=5.0)
-        assert received == [("late item", 3.0)]
-
-    def test_fifo_ordering_of_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        for value in (1, 2, 3):
-            store.put(value)
-        received = []
-
-        def getter():
-            for _ in range(3):
-                value = yield store.get()
-                received.append(value)
-
-        sim.process(getter())
-        sim.run(until=1.0)
-        assert received == [1, 2, 3]
-
-    def test_fifo_ordering_of_getters(self):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def getter(name):
-            value = yield store.get()
-            received.append((name, value))
-
-        sim.process(getter("first"))
-        sim.process(getter("second"))
-        sim.call_in(1.0, lambda: store.put("a"))
-        sim.call_in(2.0, lambda: store.put("b"))
-        sim.run(until=5.0)
-        assert received == [("first", "a"), ("second", "b")]
-
-    def test_size_and_waiting_counters(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.size == 0
-        store.put(1)
-        assert store.size == 1
-        assert store.waiting_getters == 0
+        resource = Resource(sim, capacity=1)
+        resource.request()
+        assert resource.utilisation() == 0.0

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
-    BatchMeans,
     ObservationStats,
     P2Quantile,
     TimeWeightedStats,
-    confidence_interval,
     required_observations,
 )
 
@@ -42,34 +40,9 @@ class TestObservationStats:
         assert stats.variance == pytest.approx(np.var(values, ddof=1))
         assert stats.total == pytest.approx(sum(values))
 
-    def test_merge_equivalent_to_combined(self):
-        left_values = [1.0, 2.0, 3.0]
-        right_values = [10.0, 20.0, 30.0, 40.0]
-        left = ObservationStats()
-        right = ObservationStats()
-        for value in left_values:
-            left.add(value)
-        for value in right_values:
-            right.add(value)
-        left.merge(right)
-        combined = left_values + right_values
-        assert left.count == len(combined)
-        assert left.mean == pytest.approx(np.mean(combined))
-        assert left.variance == pytest.approx(np.var(combined, ddof=1))
-
-    def test_merge_into_empty(self):
-        left = ObservationStats()
-        right = ObservationStats()
-        right.add(4.0)
-        right.add(6.0)
-        left.merge(right)
-        assert left.mean == pytest.approx(5.0)
-
-    def test_merge_empty_is_noop(self):
-        left = ObservationStats()
-        left.add(1.0)
-        left.merge(ObservationStats())
-        assert left.count == 1
+    def test_empty_extremes_and_total_are_zero(self):
+        stats = ObservationStats()
+        assert (stats.minimum, stats.maximum, stats.total) == (0.0, 0.0, 0.0)
 
     def test_reset(self):
         stats = ObservationStats()
@@ -231,61 +204,6 @@ class TestP2Quantile:
         assert min(values) - 1e-9 <= estimator.value <= max(values) + 1e-9
 
 
-class TestBatchMeans:
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BatchMeans(batch_size=0)
-
-    def test_batches_close_at_the_right_size(self):
-        batches = BatchMeans(batch_size=3)
-        for value in range(9):
-            batches.add(float(value))
-        assert batches.batch_count == 3
-        assert batches.mean == pytest.approx(4.0)
-
-    def test_half_width_infinite_with_few_batches(self):
-        batches = BatchMeans(batch_size=5)
-        for value in range(5):
-            batches.add(float(value))
-        assert batches.half_width() == math.inf
-
-    def test_half_width_shrinks_with_more_data(self):
-        rng = np.random.default_rng(0)
-        small = BatchMeans(batch_size=10)
-        large = BatchMeans(batch_size=10)
-        for value in rng.normal(10, 2, size=100):
-            small.add(float(value))
-        for value in rng.normal(10, 2, size=2000):
-            large.add(float(value))
-        assert large.half_width() < small.half_width()
-
-
-class TestConfidenceInterval:
-    def test_needs_two_samples(self):
-        assert confidence_interval([1.0]) == math.inf
-
-    def test_invalid_confidence(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], confidence=1.5)
-
-    def test_identical_samples_zero_width(self):
-        assert confidence_interval([5.0, 5.0, 5.0, 5.0]) == pytest.approx(0.0)
-
-    def test_higher_confidence_wider_interval(self):
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert confidence_interval(samples, 0.99) > confidence_interval(samples, 0.90)
-
-    def test_matches_scipy_t_interval(self):
-        from scipy import stats as scipy_stats
-
-        samples = [2.1, 2.9, 3.4, 1.8, 2.6, 3.1, 2.2]
-        half_width = confidence_interval(samples, 0.95)
-        mean = np.mean(samples)
-        sem = scipy_stats.sem(samples)
-        low, high = scipy_stats.t.interval(0.95, len(samples) - 1, loc=mean, scale=sem)
-        assert half_width == pytest.approx((high - low) / 2, rel=1e-6)
-
-
 class TestRequiredObservations:
     def test_hundreds_of_departures_guideline(self):
         # the paper's guidance: coefficient of variation around one and a
@@ -309,3 +227,16 @@ class TestRequiredObservations:
 
     def test_at_least_one(self):
         assert required_observations(0.0, 0.5) >= 1
+
+    @pytest.mark.parametrize("confidence, z", [
+        (0.90, 1.6448536269514722),
+        (0.95, 1.959963984540054),
+        (0.99, 2.5758293035489004),
+    ])
+    def test_matches_the_normal_quantile_formula(self, confidence, z):
+        expected = math.ceil((z * 1.0 / 0.1) ** 2)
+        assert required_observations(1.0, 0.1, confidence=confidence) == expected
+
+    def test_higher_confidence_needs_more(self):
+        assert required_observations(1.0, 0.1, confidence=0.99) > \
+            required_observations(1.0, 0.1, confidence=0.90)
